@@ -167,6 +167,10 @@ fn main() {
                 event, result,
                 "partitioned@{parts} diverged from the event engine at n = {n}"
             );
+            // Time every row with only `event` resident, as the event row
+            // was: at n = 10^6 a second live result (~36 MB) shifts the
+            // heap so that each timed run page-faults its buffers afresh.
+            drop(result);
             let (median, min, mean) = measure(samples, || {
                 std::hint::black_box(plan.run(&[NeuronId(0)], &config).unwrap());
             });
@@ -206,6 +210,7 @@ fn main() {
                     event, result,
                     "partitioned@{parts} t{threads} diverged from the event engine at n = {n}"
                 );
+                drop(result);
                 let (median, min, mean) = measure(samples, || {
                     std::hint::black_box(
                         plan.run_threaded(&[NeuronId(0)], &config, threads).unwrap(),

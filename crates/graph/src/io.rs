@@ -82,9 +82,12 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, DimacsError> {
                 if parts.next() != Some("sp") {
                     return Err(DimacsError::BadProblemLine(lineno));
                 }
+                // Node ids are u32 downstream; a larger count is refused
+                // here rather than by `GraphBuilder::new`'s assertion.
                 n = parts
                     .next()
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n| u32::try_from(n).is_ok())
                     .ok_or(DimacsError::BadProblemLine(lineno))?;
                 declared_arcs = parts
                     .next()
@@ -227,6 +230,10 @@ mod tests {
         assert_eq!(
             parse_dimacs("a 1 2 3\n"),
             Err(DimacsError::BadProblemLine(1))
+        );
+        assert_eq!(
+            parse_dimacs("c big\np sp 5000000000 0\n"),
+            Err(DimacsError::BadProblemLine(2))
         );
     }
 

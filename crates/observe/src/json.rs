@@ -203,14 +203,21 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a line of `[`s from a client could
+/// overflow the stack of the thread parsing it.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring it to span the whole input.
 ///
 /// # Errors
-/// Fails on malformed input or trailing non-whitespace.
+/// Fails on malformed input, arrays/objects nested more than 128 deep,
+/// or trailing non-whitespace.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -224,6 +231,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -265,8 +274,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -476,6 +496,15 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"abc", "{}x"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.at, err.msg), (MAX_DEPTH, "nesting too deep"));
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

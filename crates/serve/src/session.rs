@@ -1149,6 +1149,34 @@ mod tests {
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(9));
     }
 
+    fn error_kind_of(line: &str) -> Option<String> {
+        let v = parse_json(line).expect("response is valid JSON");
+        v.get("error")?.get("kind")?.as_str().map(str::to_owned)
+    }
+
+    #[test]
+    fn deeply_nested_json_is_a_bad_request_not_a_stack_overflow() {
+        // ~100 KB of `[` on a thread with a 2 MiB stack (std's default
+        // for spawned threads, shards included): an unbounded recursive
+        // parse overflows it.
+        let line = "[".repeat(100_000);
+        let out = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Session::open_default().call_line(&line))
+            .expect("spawn")
+            .join()
+            .expect("parse must not crash the thread");
+        assert_eq!(error_kind_of(&out).as_deref(), Some("bad_request"));
+    }
+
+    #[test]
+    fn oversized_dimacs_node_count_is_a_bad_request() {
+        let session = Session::open_default();
+        let out =
+            session.call_line(r#"{"op":"load_graph","name":"g","dimacs":"p sp 5000000000 0\n"}"#);
+        assert_eq!(error_kind_of(&out).as_deref(), Some("bad_request"));
+    }
+
     #[test]
     fn targeted_query_reports_the_distance() {
         let session = Session::open_default();

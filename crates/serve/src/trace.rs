@@ -500,6 +500,11 @@ mod tests {
         ctx.record(Stage::QueueWait, s0 + 150, s0 + 400);
         ctx.record(Stage::EngineRun, s0 + 400, s0 + 900);
         ctx.record(Stage::Sim, s0 + 450, s0 + 900);
+        // The root span closes at the real finish time; on a warm thread
+        // that can come before the synthetic spans above end.
+        while ctx.now_ns() <= s0 + 900 {
+            std::hint::spin_loop();
+        }
         t.finish(ctx);
         let j = t.chrome(Some(8));
         let summary = validate_chrome(&j).unwrap();

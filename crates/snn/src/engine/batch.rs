@@ -20,24 +20,24 @@
 //! * [`BatchRunner`] — executes a set of [`RunSpec`]s against one shared
 //!   network across a worker pool; each worker owns one scratch and
 //!   claims runs off an atomic work-stealing index, so a slow wavefront
-//!   never stalls the others. The network is validated once per batch,
-//!   not once per run.
+//!   never stalls the others. The network caches its validation
+//!   verdict, so it is checked once, not once per run.
 //! * [`run_jobs`] — the same pool for heterogeneous jobs (each with its
 //!   own network), used by the §7 approximate k-hop ensemble where every
 //!   scale rounds edge lengths differently.
 //!
 //! Engine selection is per batch via [`EngineChoice`]: `Auto` picks the
 //! event engine unless the network forces dense stepping (spontaneous
-//! neurons) or is dense enough that per-step sorting of touched neurons
+//! neurons) or is dense enough that per-step touched-set bookkeeping
 //! costs more than a linear sweep.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sgl_observe::{BatchSummary, NullObserver};
+use sgl_observe::BatchSummary;
 
-use super::wheel::TimeWheel;
+use super::event::EventState;
 use super::{BitplaneEngine, DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, RunResult};
 use crate::error::SnnError;
 use crate::network::Network;
@@ -53,25 +53,12 @@ use crate::types::{NeuronId, Time};
 /// allocation at all.
 #[derive(Debug, Default)]
 pub struct RunScratch {
-    /// Pending synaptic deliveries (calendar queue over delays).
-    pub(super) wheel: TimeWheel,
-    /// Per-step drained delivery batch.
-    pub(super) batch: Vec<(NeuronId, f64)>,
-    /// Neurons that fired in the current step (sorted).
-    pub(super) fired: Vec<NeuronId>,
-    /// Membrane potentials, reset to each neuron's `v_reset`.
-    pub(super) voltages: Vec<f64>,
-    /// Event engine: last step each neuron's lazy decay was applied.
-    pub(super) last_update: Vec<Time>,
-    /// Synaptic input accumulator (all zeros between steps); the event
-    /// engine uses it as its per-step `accum`.
-    pub(super) syn: Vec<f64>,
-    /// Event engine: membership bitmap for `touched_ids`.
-    pub(super) dirty: Vec<bool>,
-    /// Dense engine: indices with nonzero `syn` this step.
+    /// Wheel, spike lists, voltages and synaptic accumulators (all zeros
+    /// between steps): the event engine's full state, of which the dense
+    /// engines use all but the lazy-decay bookkeeping.
+    pub(super) ev: EventState,
+    /// Dense engine: indices with nonzero `ev.accum` this step.
     pub(super) touched_idx: Vec<usize>,
-    /// Event engine: neurons receiving input this step.
-    pub(super) touched_ids: Vec<NeuronId>,
     /// Bit-plane engine: ring of spike-frontier bit-planes
     /// (`ring_len * words` u64 words).
     pub(super) bp_planes: Vec<u64>,
@@ -97,21 +84,8 @@ impl RunScratch {
     /// zeroed, spike lists cleared. Capacity is retained, so resetting
     /// between same-sized runs never allocates.
     pub fn reset(&mut self, net: &Network) {
-        let n = net.neuron_count();
-        self.wheel.reset(net.max_delay());
-        self.batch.clear();
-        self.fired.clear();
-        self.voltages.clear();
-        self.voltages
-            .extend(net.params_slice().iter().map(|p| p.v_reset));
-        self.last_update.clear();
-        self.last_update.resize(n, 0);
-        self.syn.clear();
-        self.syn.resize(n, 0.0);
-        self.dirty.clear();
-        self.dirty.resize(n, false);
+        self.ev.reset(net.params_slice(), net.max_delay());
         self.touched_idx.clear();
-        self.touched_ids.clear();
         // The bit-plane engine re-sizes (zero-filling) these after reset,
         // so clearing to empty — capacity retained — is both cheap for the
         // other engines and pristine for the next bit-plane run.
@@ -263,11 +237,6 @@ impl EngineChoice {
             explicit => explicit,
         }
     }
-
-    /// Whether the resolved engine needs event-mode network validation.
-    fn event_mode(self) -> bool {
-        matches!(self, Self::Event | Self::Partitioned { .. })
-    }
 }
 
 /// One run of a batch: which neurons spike at `t = 0` and how the run is
@@ -350,9 +319,10 @@ impl<'a> BatchRunner<'a> {
         self
     }
 
-    /// Runs every spec, returning results in spec order. The network is
-    /// validated once; each worker recycles one scratch across the runs
-    /// it claims.
+    /// Runs every spec, returning results in spec order. The engine is
+    /// resolved once; each worker recycles one scratch across the runs
+    /// it claims, and the network's cached validation verdict makes
+    /// every run after the first skip the check.
     ///
     /// # Errors
     /// Same failure modes as [`super::Engine::run`] (the first failing
@@ -360,7 +330,6 @@ impl<'a> BatchRunner<'a> {
     /// surfaces is unspecified when several fail).
     pub fn run(&self, specs: &[RunSpec]) -> Result<Vec<RunResult>, SnnError> {
         let choice = self.choice.resolve(self.net);
-        self.net.validate(choice.event_mode())?;
         let net = self.net;
         drive(specs.len(), self.threads, |i, scratch| {
             run_resolved(choice, net, &specs[i], scratch)
@@ -384,9 +353,9 @@ impl<'a> BatchRunner<'a> {
 
 /// Executes heterogeneous `(network, spec)` jobs over the same
 /// work-stealing pool and scratch recycling as [`BatchRunner`]. Engine
-/// choice resolves (and the network validates) per job, since every job
-/// may carry a different network — the approximate k-hop ensemble runs
-/// one differently-rounded network per scale.
+/// choice resolves per job, since every job may carry a different
+/// network — the approximate k-hop ensemble runs one differently-rounded
+/// network per scale.
 ///
 /// # Errors
 /// Same failure modes as [`BatchRunner::run`].
@@ -397,9 +366,7 @@ pub fn run_jobs(
 ) -> Result<Vec<RunResult>, SnnError> {
     drive(jobs.len(), threads, |i, scratch| {
         let (net, spec) = &jobs[i];
-        let resolved = choice.resolve(net);
-        net.validate(resolved.event_mode())?;
-        run_resolved(resolved, net, spec, scratch)
+        run_resolved(choice.resolve(net), net, spec, scratch)
     })
 }
 
@@ -419,28 +386,22 @@ pub fn summarize(results: &[RunResult]) -> BatchSummary {
     summary
 }
 
-/// Dispatches one pre-validated run to the resolved engine's hot path.
+/// Dispatches one run to the resolved engine.
 fn run_resolved(
     choice: EngineChoice,
     net: &Network,
     spec: &RunSpec,
     scratch: &mut RunScratch,
 ) -> Result<RunResult, SnnError> {
-    let obs = &mut NullObserver;
+    let (initial, config) = (&spec.initial_spikes, &spec.config);
     match choice {
         // `Auto` cannot survive `resolve`; dense is the safe fallback.
         EngineChoice::Dense | EngineChoice::Auto => {
-            DenseEngine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
+            DenseEngine.run_with_scratch(net, initial, config, scratch)
         }
-        EngineChoice::Event => {
-            EventEngine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
-        EngineChoice::Bitplane => {
-            BitplaneEngine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
-        EngineChoice::Parallel(engine) => {
-            engine.run_core(net, &spec.initial_spikes, &spec.config, scratch, obs)
-        }
+        EngineChoice::Event => EventEngine.run_with_scratch(net, initial, config, scratch),
+        EngineChoice::Bitplane => BitplaneEngine.run_with_scratch(net, initial, config, scratch),
+        EngineChoice::Parallel(engine) => engine.run_with_scratch(net, initial, config, scratch),
         // Compiles a fresh plan per run: the partitioned engine targets
         // nets too large for one address space, where the run dwarfs the
         // compile. Batch callers wanting compile-once reuse should hold a
@@ -449,7 +410,7 @@ fn run_resolved(
             use crate::engine::Engine;
             crate::partition::PartitionedEngine::new(parts)
                 .with_threads(threads)
-                .run(net, &spec.initial_spikes, &spec.config)
+                .run(net, initial, config)
         }
     }
 }
@@ -529,13 +490,13 @@ mod tests {
             .unwrap();
         assert_eq!(r.reason, StopReason::MaxStepsReached);
         // The t=0 spike scheduled a delivery at t=5000: still parked.
-        let stats = scratch.wheel.observe();
+        let stats = scratch.ev.wheel.observe();
         assert_eq!(stats.overflow_entries, 1);
         assert_eq!(stats.in_flight, 1);
         assert!(stats.overflow_hits >= 1);
 
         scratch.reset(&net);
-        let stats = scratch.wheel.observe();
+        let stats = scratch.ev.wheel.observe();
         assert_eq!(stats.in_flight, 0);
         assert_eq!(stats.occupied_slots, 0);
         assert_eq!(stats.overflow_entries, 0);

@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats, StepRecord};
 
 use super::batch::RunScratch;
+use super::event::EventState;
 use super::{check_initial, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
 use crate::error::SnnError;
 use crate::network::{BitplaneTopology, Network};
@@ -277,26 +278,6 @@ impl BitplaneEngine {
         obs: &mut O,
     ) -> Result<RunResult, SnnError> {
         net.validate(false)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
         check_initial(net, initial_spikes)?;
         let mut rec = Recorder::new(net, config)?;
         let n = net.neuron_count();
@@ -310,9 +291,13 @@ impl BitplaneEngine {
         scratch.bp_nonempty.resize(ring_len as usize, false);
         scratch.bp_fired_words.resize(words, 0);
         let RunScratch {
-            fired,
-            voltages,
-            syn,
+            ev:
+                EventState {
+                    fired,
+                    voltages,
+                    accum: syn,
+                    ..
+                },
             bp_planes,
             bp_nonempty,
             bp_fired_words: fired_words,
@@ -354,11 +339,11 @@ impl BitplaneEngine {
                 StopCondition::MaxSteps | StopCondition::Quiescent
             )
         {
-            return rec.finish(0, StopReason::ConditionMet, config);
+            return rec.finish(0, StopReason::ConditionMet, config, obs);
         }
         let spontaneous = params.iter().any(|p| !p.is_input_driven());
         if fr.pending == 0 && !spontaneous {
-            return rec.finish(0, StopReason::Quiescent, config);
+            return rec.finish(0, StopReason::Quiescent, config, obs);
         }
 
         for t in 1..=config.max_steps {
@@ -427,14 +412,14 @@ impl BitplaneEngine {
                     StopCondition::MaxSteps | StopCondition::Quiescent
                 )
             {
-                return rec.finish(t, StopReason::ConditionMet, config);
+                return rec.finish(t, StopReason::ConditionMet, config, obs);
             }
             if fr.pending == 0 && !armed {
-                return rec.finish(t, StopReason::Quiescent, config);
+                return rec.finish(t, StopReason::Quiescent, config, obs);
             }
         }
 
-        rec.finish(config.max_steps, StopReason::MaxStepsReached, config)
+        rec.finish(config.max_steps, StopReason::MaxStepsReached, config, obs)
     }
 }
 

@@ -3,6 +3,7 @@
 use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
+use super::event::EventState;
 use super::wheel::TimeWheel;
 use super::{check_initial, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
 use crate::error::SnnError;
@@ -81,26 +82,6 @@ impl DenseEngine {
         obs: &mut O,
     ) -> Result<RunResult, SnnError> {
         net.validate(false)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
         check_initial(net, initial_spikes)?;
         let mut rec = Recorder::new(net, config)?;
         let n = net.neuron_count();
@@ -115,11 +96,15 @@ impl DenseEngine {
         // recycled runs stay bit-identical.
         scratch.reset(net);
         let RunScratch {
-            wheel,
-            batch,
-            fired,
-            voltages,
-            syn,
+            ev:
+                EventState {
+                    wheel,
+                    batch,
+                    fired,
+                    voltages,
+                    accum: syn,
+                    ..
+                },
             touched_idx: touched,
             ..
         } = scratch;
@@ -148,7 +133,7 @@ impl DenseEngine {
                 StopCondition::MaxSteps | StopCondition::Quiescent
             )
         {
-            return rec.finish(0, StopReason::ConditionMet, config);
+            return rec.finish(0, StopReason::ConditionMet, config, obs);
         }
         // A neuron is "armed" if it would fire next step with zero synaptic
         // input (possible only when v_reset > v_threshold, i.e. spontaneous
@@ -156,7 +141,7 @@ impl DenseEngine {
         // pending deliveries and no armed neurons.
         let spontaneous = params.iter().any(|p| !p.is_input_driven());
         if wheel.is_empty() && !spontaneous {
-            return rec.finish(0, StopReason::Quiescent, config);
+            return rec.finish(0, StopReason::Quiescent, config, obs);
         }
 
         for t in 1..=config.max_steps {
@@ -215,18 +200,18 @@ impl DenseEngine {
                     StopCondition::MaxSteps | StopCondition::Quiescent
                 )
             {
-                return rec.finish(t, StopReason::ConditionMet, config);
+                return rec.finish(t, StopReason::ConditionMet, config, obs);
             }
             if wheel.is_empty() && !armed {
                 // No spikes in flight and no neuron can fire without input:
                 // voltages only decay toward reset (<= threshold for
                 // input-driven neurons), so the network can never fire
                 // again. The spike time of the last activity is `T`.
-                return rec.finish(t, StopReason::Quiescent, config);
+                return rec.finish(t, StopReason::Quiescent, config, obs);
             }
         }
 
-        rec.finish(config.max_steps, StopReason::MaxStepsReached, config)
+        rec.finish(config.max_steps, StopReason::MaxStepsReached, config, obs)
     }
 }
 

@@ -4,9 +4,11 @@ use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::dense::route_spikes;
+use super::wheel::TimeWheel;
 use super::{check_initial, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
 use crate::error::SnnError;
 use crate::network::Network;
+use crate::params::LifParams;
 use crate::types::{NeuronId, Time};
 
 /// Event-driven engine with lazy voltage decay.
@@ -88,62 +90,30 @@ impl EventEngine {
         obs: &mut O,
     ) -> Result<RunResult, SnnError> {
         net.validate(true)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
         check_initial(net, initial_spikes)?;
         let mut rec = Recorder::new(net, config)?;
         let csr = net.csr();
         let params = net.params_slice();
 
         scratch.reset(net);
-        let RunScratch {
-            wheel,
-            batch,
-            fired,
-            voltages,
-            last_update,
-            // The dense engines' synaptic accumulator doubles as the event
-            // engine's per-step `accum`; both are all-zeros between steps.
-            syn: accum,
-            dirty,
-            touched_ids: touched,
-            ..
-        } = scratch;
+        let ev = &mut scratch.ev;
 
-        fired.extend_from_slice(initial_spikes);
-        fired.sort_unstable();
-        fired.dedup();
+        ev.fired.extend_from_slice(initial_spikes);
+        ev.fired.sort_unstable();
+        ev.fired.dedup();
 
-        let mut stop_hit = rec.record_step(0, fired, &config.stop);
-        let deliveries = route_spikes(csr, fired, 0, wheel, &mut rec);
+        let mut stop_hit = rec.record_step(0, &ev.fired, &config.stop);
+        let deliveries = route_spikes(csr, &ev.fired, 0, &mut ev.wheel, &mut rec);
         obs.on_step(
             0,
             StepRecord {
-                spikes: fired.len() as u64,
+                spikes: ev.fired.len() as u64,
                 deliveries,
                 updates: 0,
             },
         );
         if O::ENABLED {
-            obs.on_scheduler(0, wheel.observe());
+            obs.on_scheduler(0, ev.wheel.observe());
         }
         if stop_hit
             && !matches!(
@@ -151,76 +121,31 @@ impl EventEngine {
                 StopCondition::MaxSteps | StopCondition::Quiescent
             )
         {
-            return rec.finish(0, StopReason::ConditionMet, config);
+            return rec.finish(0, StopReason::ConditionMet, config, obs);
         }
 
         let mut last_active: Time = 0;
-        while let Some(t) = wheel.next_time() {
+        while let Some(t) = ev.wheel.next_time() {
             if t > config.max_steps {
                 break;
             }
-
-            // Drain and accumulate every delivery arriving at step t. The
-            // wheel yields deliveries in scheduling order — the same order
-            // the dense engines accumulate in — so per-target sums are
-            // bit-identical across engines.
-            batch.clear();
-            wheel.drain_at(t, batch);
-            obs.on_spike_batch(t, batch.len() as u64);
-            for &(id, w) in batch.iter() {
-                let i = id.index();
-                if !dirty[i] {
-                    dirty[i] = true;
-                    touched.push(id);
-                }
-                accum[i] += w;
-            }
-            touched.sort_unstable();
-            let updates = touched.len() as u64;
+            let (drained, updates) = ev.step(t, params);
+            obs.on_spike_batch(t, drained);
             rec.add_updates(updates);
-
-            // Update each touched neuron: lazy decay, add input, threshold.
-            fired.clear();
-            for &id in touched.iter() {
-                let i = id.index();
-                let p = &params[i];
-                let dt = t - last_update[i];
-                let v0 = voltages[i];
-                // dt == 0 cannot happen (events batch per step), and
-                // decay 0 keeps the voltage; both leave v0 untouched.
-                let decayed = if dt == 0 || p.decay == 0.0 {
-                    v0
-                } else if p.decay == 1.0 {
-                    p.v_reset
-                } else {
-                    p.v_reset + (v0 - p.v_reset) * (1.0 - p.decay).powi(dt as i32)
-                };
-                let v_hat = decayed + accum[i];
-                if v_hat > p.v_threshold {
-                    fired.push(id);
-                    voltages[i] = p.v_reset;
-                } else {
-                    voltages[i] = v_hat;
-                }
-                last_update[i] = t;
-                accum[i] = 0.0;
-                dirty[i] = false;
-            }
-            touched.clear();
             last_active = t;
 
-            stop_hit = rec.record_step(t, fired, &config.stop);
-            let deliveries = route_spikes(csr, fired, t, wheel, &mut rec);
+            stop_hit = rec.record_step(t, &ev.fired, &config.stop);
+            let deliveries = route_spikes(csr, &ev.fired, t, &mut ev.wheel, &mut rec);
             obs.on_step(
                 t,
                 StepRecord {
-                    spikes: fired.len() as u64,
+                    spikes: ev.fired.len() as u64,
                     deliveries,
                     updates,
                 },
             );
             if O::ENABLED {
-                obs.on_scheduler(t, wheel.observe());
+                obs.on_scheduler(t, ev.wheel.observe());
             }
 
             if stop_hit
@@ -229,15 +154,121 @@ impl EventEngine {
                     StopCondition::MaxSteps | StopCondition::Quiescent
                 )
             {
-                return rec.finish(t, StopReason::ConditionMet, config);
+                return rec.finish(t, StopReason::ConditionMet, config, obs);
             }
         }
 
-        if wheel.is_empty() {
-            rec.finish(last_active, StopReason::Quiescent, config)
+        if ev.wheel.is_empty() {
+            rec.finish(last_active, StopReason::Quiescent, config, obs)
         } else {
-            rec.finish(config.max_steps, StopReason::MaxStepsReached, config)
+            rec.finish(config.max_steps, StopReason::MaxStepsReached, config, obs)
         }
+    }
+}
+
+/// The event engine's run state: the delivery scheduler, the step's
+/// spike lists and the lazy-decay bookkeeping, indexed by neuron id.
+///
+/// [`EventEngine`] keeps one in its [`RunScratch`], and every partition
+/// of the partitioned engine keeps one over its local ids, so both run
+/// the same [`Self::step`]. The dense engines borrow the wheel, spike
+/// lists, voltages and accumulator from the scratch's copy.
+///
+/// Between steps `accum` is all zeros, `dirty` all false and `touched`
+/// empty.
+#[derive(Debug, Default)]
+pub(crate) struct EventState {
+    /// Pending synaptic deliveries (calendar queue over delays).
+    pub(crate) wheel: TimeWheel,
+    /// Per-step drained delivery batch.
+    pub(crate) batch: Vec<(NeuronId, f64)>,
+    /// Neurons that fired in the current step, ascending.
+    pub(crate) fired: Vec<NeuronId>,
+    /// Membrane potentials, reset to each neuron's `v_reset`.
+    pub(crate) voltages: Vec<f64>,
+    /// Last step each neuron's lazy decay was applied.
+    last_update: Vec<Time>,
+    /// Synaptic input accumulated in the current step.
+    pub(crate) accum: Vec<f64>,
+    /// Membership bitmap for `touched`.
+    dirty: Vec<bool>,
+    /// Neurons receiving input in the current step, in arrival order.
+    touched: Vec<NeuronId>,
+}
+
+impl EventState {
+    /// Restores fresh-run state for a network with `params` whose wheel
+    /// must classify delays against `max_delay`: voltages at `v_reset`,
+    /// everything else zeroed or empty. Capacity is retained.
+    pub(crate) fn reset(&mut self, params: &[LifParams], max_delay: u32) {
+        let n = params.len();
+        self.wheel.reset(max_delay);
+        self.batch.clear();
+        self.fired.clear();
+        self.voltages.clear();
+        self.voltages.extend(params.iter().map(|p| p.v_reset));
+        self.last_update.clear();
+        self.last_update.resize(n, 0);
+        self.accum.clear();
+        self.accum.resize(n, 0.0);
+        self.dirty.clear();
+        self.dirty.resize(n, false);
+        self.touched.clear();
+    }
+
+    /// One event time step: drains every delivery due at `t`, applies
+    /// lazy decay, input and the threshold to each neuron that received
+    /// input, and leaves the neurons that fired in `fired`, ascending.
+    /// Returns `(deliveries drained, neurons updated)`.
+    pub(crate) fn step(&mut self, t: Time, params: &[LifParams]) -> (u64, u64) {
+        // The wheel yields deliveries in scheduling order — the same
+        // order the dense engines accumulate in — so per-target sums are
+        // bit-identical across engines.
+        self.batch.clear();
+        self.wheel.drain_at(t, &mut self.batch);
+        for &(id, w) in &self.batch {
+            let i = id.index();
+            if !self.dirty[i] {
+                self.dirty[i] = true;
+                self.touched.push(id);
+            }
+            self.accum[i] += w;
+        }
+        let updates = self.touched.len() as u64;
+
+        self.fired.clear();
+        for &id in &self.touched {
+            let i = id.index();
+            let p = &params[i];
+            let dt = t - self.last_update[i];
+            let v0 = self.voltages[i];
+            // dt == 0 cannot happen (events batch per step), and decay 0
+            // keeps the voltage; both leave v0 untouched.
+            let decayed = if dt == 0 || p.decay == 0.0 {
+                v0
+            } else if p.decay == 1.0 {
+                p.v_reset
+            } else {
+                p.v_reset + (v0 - p.v_reset) * (1.0 - p.decay).powi(dt as i32)
+            };
+            let v_hat = decayed + self.accum[i];
+            if v_hat > p.v_threshold {
+                self.fired.push(id);
+                self.voltages[i] = p.v_reset;
+            } else {
+                self.voltages[i] = v_hat;
+            }
+            self.last_update[i] = t;
+            self.accum[i] = 0.0;
+            self.dirty[i] = false;
+        }
+        self.touched.clear();
+        // Routing schedules fan-out in ascending firing id (the delivery
+        // order every engine shares). Each update above reads and writes
+        // only its own neuron, so the touched order is free and only the
+        // fired list — usually far shorter — needs sorting.
+        self.fired.sort_unstable();
+        (self.batch.len() as u64, updates)
     }
 }
 

@@ -9,7 +9,7 @@
 mod batch;
 mod bitplane;
 mod dense;
-mod event;
+pub(crate) mod event;
 mod parallel;
 mod stepper;
 pub(crate) mod sync;
@@ -350,11 +350,15 @@ impl Recorder {
         self.stats.neuron_updates += n;
     }
 
-    pub(crate) fn finish(
+    /// Ends the run at `steps`: applies strict mode, then reports the
+    /// totals to `obs` through [`RunObserver::on_finish`] and returns the
+    /// result.
+    pub(crate) fn finish<O: RunObserver>(
         self,
         steps: Time,
         reason: StopReason,
         config: &RunConfig,
+        obs: &mut O,
     ) -> Result<RunResult, SnnError> {
         if config.strict
             && reason == StopReason::MaxStepsReached
@@ -364,6 +368,13 @@ impl Recorder {
                 max_steps: config.max_steps,
             });
         }
+        let stats = self.stats;
+        obs.on_finish(
+            steps,
+            stats.spike_events,
+            stats.synaptic_deliveries,
+            stats.neuron_updates,
+        );
         Ok(RunResult {
             steps,
             reason,
@@ -371,7 +382,7 @@ impl Recorder {
             last_spikes: self.last_spikes,
             spike_counts: self.spike_counts,
             raster: self.raster,
-            stats: self.stats,
+            stats,
         })
     }
 }
@@ -465,6 +476,8 @@ mod tests {
         net.set_terminal(a);
         let cfg = RunConfig::until_terminal(5).strict();
         let rec = Recorder::new(&net, &cfg).unwrap();
-        assert!(rec.finish(5, StopReason::MaxStepsReached, &cfg).is_err());
+        assert!(rec
+            .finish(5, StopReason::MaxStepsReached, &cfg, &mut NullObserver)
+            .is_err());
     }
 }

@@ -37,6 +37,7 @@ use sgl_observe::{NullObserver, RunObserver, StepRecord};
 
 use super::batch::RunScratch;
 use super::dense::route_spikes;
+use super::event::EventState;
 use super::sync::SpinBarrier;
 use super::{
     check_initial, DenseEngine, Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason,
@@ -158,54 +159,33 @@ impl ParallelDenseEngine {
         scratch: &mut RunScratch,
         obs: &mut O,
     ) -> Result<RunResult, SnnError> {
-        net.validate(false)?;
-        let result = self.run_core(net, initial_spikes, config, scratch, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok(result)
-    }
-
-    /// Neurons each worker owns for a network of `n` neurons: an even
-    /// split across `threads`, floored at `min_chunk` so tiny networks
-    /// shed workers instead of paying barrier overhead.
-    fn chunk_size(&self, n: usize) -> usize {
-        n.div_ceil(self.threads.max(1)).max(self.min_chunk.max(1))
-    }
-
-    /// The hot path, minus network validation (the batch runner validates
-    /// the shared network once per batch rather than once per run).
-    pub(super) fn run_core<O: RunObserver>(
-        &self,
-        net: &Network,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        scratch: &mut RunScratch,
-        obs: &mut O,
-    ) -> Result<RunResult, SnnError> {
         let n = net.neuron_count();
         let chunk = self.chunk_size(n);
         if n.div_ceil(chunk.max(1)) <= 1 {
             // One worker would own the whole range: that is the dense
             // engine with extra synchronisation. Delegate (hook cadence is
             // identical; results are bit-identical by the engine contract).
-            return DenseEngine.run_core(net, initial_spikes, config, scratch, obs);
+            return DenseEngine.run_with_scratch_observed(
+                net,
+                initial_spikes,
+                config,
+                scratch,
+                obs,
+            );
         }
+        net.validate(false)?;
         check_initial(net, initial_spikes)?;
         let mut rec = Recorder::new(net, config)?;
         let csr = net.csr();
         let params = net.params_slice();
 
         scratch.reset(net);
-        let RunScratch {
+        let EventState {
             wheel,
             batch,
             fired,
             ..
-        } = scratch;
+        } = &mut scratch.ev;
 
         fired.extend_from_slice(initial_spikes);
         fired.sort_unstable();
@@ -230,11 +210,11 @@ impl ParallelDenseEngine {
                 StopCondition::MaxSteps | StopCondition::Quiescent
             )
         {
-            return rec.finish(0, StopReason::ConditionMet, config);
+            return rec.finish(0, StopReason::ConditionMet, config, obs);
         }
         let spontaneous = params.iter().any(|p| !p.is_input_driven());
         if wheel.is_empty() && !spontaneous {
-            return rec.finish(0, StopReason::Quiescent, config);
+            return rec.finish(0, StopReason::Quiescent, config, obs);
         }
 
         // Partition by chunk size, then count the chunks that actually
@@ -339,7 +319,14 @@ impl ParallelDenseEngine {
             outcome
         });
 
-        rec.finish(steps, reason, config)
+        rec.finish(steps, reason, config, obs)
+    }
+
+    /// Neurons each worker owns for a network of `n` neurons: an even
+    /// split across `threads`, floored at `min_chunk` so tiny networks
+    /// shed workers instead of paying barrier overhead.
+    fn chunk_size(&self, n: usize) -> usize {
+        n.div_ceil(self.threads.max(1)).max(self.min_chunk.max(1))
     }
 }
 

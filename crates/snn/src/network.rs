@@ -322,6 +322,9 @@ pub struct Network {
     /// Bit-plane engine snapshot, derived from the CSR on first use and
     /// invalidated together with it.
     bitplane: OnceLock<BitplaneTopology>,
+    /// Cached [`Self::validate`] verdicts, computed on first use and
+    /// invalidated with the CSR and by every parameter mutation.
+    verdict: OnceLock<Verdict>,
     /// When set, `csr` is the authoritative topology and `synapses` is
     /// dropped.
     frozen: bool,
@@ -369,6 +372,7 @@ impl Network {
             synapses: Vec::new(),
             csr: lock,
             bitplane: OnceLock::new(),
+            verdict: OnceLock::new(),
             frozen: true,
             inputs,
             outputs,
@@ -385,8 +389,7 @@ impl Network {
         let id = NeuronId(u32::try_from(self.params.len()).expect("more than u32::MAX neurons"));
         self.params.push(params);
         self.synapses.push(Vec::new());
-        self.csr.take();
-        self.bitplane.take();
+        self.invalidate();
         id
     }
 
@@ -397,8 +400,7 @@ impl Network {
     pub fn add_neurons(&mut self, params: LifParams, count: usize) -> Vec<NeuronId> {
         debug_assert!(params.validate().is_ok(), "invalid LIF parameters");
         self.thaw();
-        self.csr.take();
-        self.bitplane.take();
+        self.invalidate();
         self.params.reserve(count);
         self.synapses.reserve(count);
         let start = self.params.len();
@@ -440,8 +442,7 @@ impl Network {
             weight,
             delay,
         });
-        self.csr.take();
-        self.bitplane.take();
+        self.invalidate();
         self.synapse_count += 1;
         self.max_delay = self.max_delay.max(delay);
         Ok(())
@@ -486,6 +487,14 @@ impl Network {
         self.frozen = true;
     }
 
+    /// Drops every snapshot derived from the topology or the parameters:
+    /// the CSR, the bit-plane view and the validation verdict.
+    fn invalidate(&mut self) {
+        self.csr.take();
+        self.bitplane.take();
+        self.verdict.take();
+    }
+
     /// Rematerialises the build-side adjacency from the CSR and leaves the
     /// frozen state; a no-op on non-frozen networks. Mutating accessors
     /// call this implicitly, so it rarely needs calling by hand.
@@ -494,7 +503,7 @@ impl Network {
             return;
         }
         let csr = self.csr.take().expect("frozen implies a resident CSR");
-        self.bitplane.take();
+        self.invalidate();
         self.synapses = (0..self.params.len())
             .map(|i| csr.out(i).to_vec())
             .collect();
@@ -581,7 +590,11 @@ impl Network {
     }
 
     /// Mutable parameters of neuron `id` (reprogramming a deployed net).
+    /// Drops the cached validation verdict and the bit-plane snapshot,
+    /// whose OR-mask mode depends on the parameters.
     pub fn params_mut(&mut self, id: NeuronId) -> &mut LifParams {
+        self.bitplane.take();
+        self.verdict.take();
         &mut self.params[id.index()]
     }
 
@@ -593,11 +606,11 @@ impl Network {
 
     /// Mutable outgoing synapses of neuron `id` — used by the crossbar
     /// embedder to re-program delays in place (§4.4). Invalidates the
-    /// cached CSR view (thawing a frozen network first).
+    /// cached CSR view and validation verdict (thawing a frozen network
+    /// first).
     pub fn synapses_from_mut(&mut self, id: NeuronId) -> &mut [Synapse] {
         self.thaw();
-        self.csr.take();
-        self.bitplane.take();
+        self.invalidate();
         &mut self.synapses[id.index()]
     }
 
@@ -668,19 +681,52 @@ impl Network {
     }
 
     /// Checks every neuron and synapse for model validity; additionally
-    /// verifies the event-engine precondition when `for_event_engine`.
+    /// verifies the event-engine precondition (no spontaneous neuron)
+    /// when `for_event_engine`. Returns the first offender, neurons before
+    /// synapses, in id and then insertion order.
     ///
     /// `connect` already rejects zero delays and non-finite weights, but
-    /// [`Self::synapses_from_mut`] permits in-place re-programming that
-    /// bypasses those checks, so the engines re-validate here before a run
-    /// rather than silently mis-scheduling corrupted synapses.
+    /// [`Self::synapses_from_mut`] and [`Self::params_mut`] permit
+    /// in-place re-programming that bypasses those checks, so every
+    /// engine run calls this rather than silently mis-scheduling a
+    /// corrupted network. One pass over all `n` neurons and `m` synapses
+    /// computes both verdicts; they are cached until the next mutation,
+    /// so repeated runs of an unchanged network pay for the check once.
+    ///
+    /// # Errors
+    /// The first invalid neuron parameter, spontaneous neuron (event mode
+    /// only), zero delay or non-finite weight.
     pub fn validate(&self, for_event_engine: bool) -> Result<(), SnnError> {
+        let verdict = self.verdict.get_or_init(|| self.check());
+        if for_event_engine {
+            verdict.event.clone()
+        } else {
+            verdict.structural.clone()
+        }
+    }
+
+    /// The uncached pass behind [`Self::validate`].
+    fn check(&self) -> Verdict {
+        let mut spontaneous = None;
         for (i, p) in self.params.iter().enumerate() {
-            p.validate()?;
-            if for_event_engine && !p.is_input_driven() {
-                return Err(SnnError::SpontaneousNeuron(NeuronId(i as u32)));
+            if let Err(e) = p.validate() {
+                return Verdict {
+                    event: Err(spontaneous.unwrap_or_else(|| e.clone())),
+                    structural: Err(e),
+                };
+            }
+            if spontaneous.is_none() && !p.is_input_driven() {
+                spontaneous = Some(SnnError::SpontaneousNeuron(NeuronId(i as u32)));
             }
         }
+        let structural = self.check_synapses();
+        Verdict {
+            event: spontaneous.map_or_else(|| structural.clone(), Err),
+            structural,
+        }
+    }
+
+    fn check_synapses(&self) -> Result<(), SnnError> {
         for i in 0..self.params.len() {
             let src = NeuronId(i as u32);
             for s in self.row(i) {
@@ -694,6 +740,15 @@ impl Network {
         }
         Ok(())
     }
+}
+
+/// Both [`Network::validate`] verdicts, from one pass.
+#[derive(Clone, Debug)]
+struct Verdict {
+    /// Model validity alone (the dense engines' precondition).
+    structural: Result<(), SnnError>,
+    /// Model validity plus no spontaneous neuron (event-style engines).
+    event: Result<(), SnnError>,
 }
 
 #[cfg(test)]

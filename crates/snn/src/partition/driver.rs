@@ -20,8 +20,9 @@
 //!    scheduler / cut-traffic hooks, stop check) from the cell contents.
 //!
 //! Why the numbers cannot change: partitions are computed and merged by
-//! exactly the code the sequential driver uses ([`PartState::step`],
-//! [`merge_schedule`]), only grouped by owner instead of by index; every
+//! exactly the code the sequential driver uses (the event engine's
+//! `EventState::step`, [`merge_schedule`]), only grouped by owner instead
+//! of by index; every
 //! cross-partition value the coordinator folds (batch, update, delivery
 //! counts, scheduler occupancy) is a sum of `u64`s, which is
 //! order-insensitive; the fired list is re-sorted globally, erasing
@@ -82,7 +83,7 @@ struct WorkerOut {
 }
 
 /// The coordinator half of the threaded driver. Entered from
-/// [`PartitionPlan`]'s `run_core` after the `t = 0` superstep ran
+/// [`PartitionPlan::run_observed_threaded`] after the `t = 0` superstep ran
 /// sequentially (injection is cheap and touches every partition's wheel,
 /// so threading it buys nothing) with `workers >= 2` already decided.
 #[allow(clippy::too_many_arguments)]
@@ -108,10 +109,10 @@ pub(super) fn run_threaded<O: RunObserver>(
         None => false,
     };
     if !needs_pool {
-        let result = if states.iter().all(|st| st.wheel.is_empty()) {
-            rec.finish(0, StopReason::Quiescent, config)?
+        let result = if states.iter().all(|st| st.ev.wheel.is_empty()) {
+            rec.finish(0, StopReason::Quiescent, config, obs)?
         } else {
-            rec.finish(config.max_steps, StopReason::MaxStepsReached, config)?
+            rec.finish(config.max_steps, StopReason::MaxStepsReached, config, obs)?
         };
         let mut stats = plan.traffic_stats(&channels, supersteps);
         stats.threads = workers;
@@ -274,9 +275,9 @@ pub(super) fn run_threaded<O: RunObserver>(
 
     let (condition_met_at, all_empty, last_active) = outcome;
     let result = match condition_met_at {
-        Some(t) => rec.finish(t, StopReason::ConditionMet, config)?,
-        None if all_empty => rec.finish(last_active, StopReason::Quiescent, config)?,
-        None => rec.finish(config.max_steps, StopReason::MaxStepsReached, config)?,
+        Some(t) => rec.finish(t, StopReason::ConditionMet, config, obs)?,
+        None if all_empty => rec.finish(last_active, StopReason::Quiescent, config, obs)?,
+        None => rec.finish(config.max_steps, StopReason::MaxStepsReached, config, obs)?,
     };
     let mut stats = plan.traffic_stats(&channels, supersteps);
     stats.threads = workers;
@@ -317,10 +318,10 @@ fn worker_loop<O: RunObserver>(
         let mut batch = 0u64;
         let mut updates = 0u64;
         for (q, st) in mine.iter_mut() {
-            let (b, u) = st.step(t, plan.subnet(*q).params_slice());
+            let (b, u) = st.ev.step(t, plan.subnet(*q).params_slice());
             batch += b;
             updates += u;
-            publish_cut(plan, *q, &st.fired, channels, t);
+            publish_cut(plan, *q, &st.ev.fired, channels, t);
         }
         let busy_compute = b0.elapsed();
 
@@ -341,11 +342,11 @@ fn worker_loop<O: RunObserver>(
             deliveries += merge_schedule(plan, *q, st, channels, t, &mut out.tick_traffic);
             let globals = plan.globals(*q);
             out.fired
-                .extend(st.fired.iter().map(|&l| globals[l as usize]));
-            if let Some(nt) = st.wheel.next_time() {
+                .extend(st.ev.fired.iter().map(|l| globals[l.index()]));
+            if let Some(nt) = st.ev.wheel.next_time() {
                 next_time = Some(next_time.map_or(nt, |b| b.min(nt)));
             }
-            wheels_empty &= st.wheel.is_empty();
+            wheels_empty &= st.ev.wheel.is_empty();
         }
         out.deliveries = deliveries;
         out.next_time = next_time;

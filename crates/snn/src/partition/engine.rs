@@ -5,10 +5,11 @@
 //!
 //! 1. **Compute** — every partition drains its own scheduler wheel at `t`
 //!    and updates exactly the neurons that received input (the event
-//!    engine's lazy-decay update, verbatim). Because every synapse has
-//!    delay >= 1, nothing a partition does at `t` can affect another
-//!    partition at `t` — the exchange horizon is exactly one tick, so the
-//!    compute phase needs no communication at all.
+//!    engine's own step function, run over the partition's local ids).
+//!    Because every synapse has delay >= 1, nothing a partition does at
+//!    `t` can affect another partition at `t` — the exchange horizon is
+//!    exactly one tick, so the compute phase needs no communication at
+//!    all.
 //! 2. **Exchange** — the barrier. Owners push one [`SpikeEvent`] per cut
 //!    synapse of each fired source onto the destination's channel; then
 //!    every partition schedules *all* deliveries addressed to it — its
@@ -35,7 +36,7 @@
 
 use sgl_observe::{NullObserver, RunObserver, SchedulerStats, StepRecord};
 
-use crate::engine::wheel::TimeWheel;
+use crate::engine::event::EventState;
 use crate::engine::{Engine, Recorder, RunConfig, RunResult, StopCondition, StopReason};
 use crate::error::SnnError;
 use crate::network::Network;
@@ -102,18 +103,13 @@ pub struct PartitionRunStats {
     pub imbalance_mean: f64,
 }
 
-/// Per-partition run state: the partition's scheduler wheel plus the
-/// event engine's lazy-decay bookkeeping, all indexed by local id.
+/// Per-partition run state: the event engine's [`EventState`] over the
+/// partition's local ids — so the compute phase is the monolithic event
+/// step itself — plus the exchange's inbound buffers.
 pub(super) struct PartState {
-    pub(super) wheel: TimeWheel,
-    batch: Vec<(NeuronId, f64)>,
-    /// Local ids fired this superstep, ascending (== ascending global).
-    pub(super) fired: Vec<u32>,
-    voltages: Vec<f64>,
-    last_update: Vec<Time>,
-    accum: Vec<f64>,
-    dirty: Vec<bool>,
-    touched: Vec<NeuronId>,
+    /// Wheel, fired list (local ids, ascending == ascending global) and
+    /// lazy-decay bookkeeping.
+    pub(super) ev: EventState,
     /// Per-peer inbound event buffers, recycled across supersteps.
     inbox: Vec<Vec<SpikeEvent>>,
     /// Per-peer merge cursors into `inbox`.
@@ -121,67 +117,17 @@ pub(super) struct PartState {
 }
 
 impl PartState {
-    pub(super) fn new(local_count: usize, global_max_delay: u32, parts: usize) -> Self {
+    pub(super) fn new(params: &[LifParams], global_max_delay: u32, parts: usize) -> Self {
+        let mut ev = EventState::default();
+        // Sized to the *global* max delay: in-horizon vs overflow
+        // classification must match the monolithic wheel (see
+        // `PartitionPlan::max_delay`).
+        ev.reset(params, global_max_delay);
         Self {
-            // Sized to the *global* max delay: in-horizon vs overflow
-            // classification must match the monolithic wheel (see
-            // `PartitionPlan::max_delay`).
-            wheel: TimeWheel::new(global_max_delay),
-            batch: Vec::new(),
-            fired: Vec::new(),
-            voltages: vec![0.0; local_count],
-            last_update: vec![0; local_count],
-            accum: vec![0.0; local_count],
-            dirty: vec![false; local_count],
-            touched: Vec::new(),
+            ev,
             inbox: vec![Vec::new(); parts],
             merge_idx: vec![0; parts],
         }
-    }
-
-    /// The compute phase: drain deliveries due at `t`, apply the event
-    /// engine's lazy-decay update to every touched neuron, and collect
-    /// fired local ids. Returns `(batch_len, updates)`.
-    pub(super) fn step(&mut self, t: Time, params: &[LifParams]) -> (u64, u64) {
-        self.batch.clear();
-        self.wheel.drain_at(t, &mut self.batch);
-        for &(id, w) in &self.batch {
-            let i = id.index();
-            if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.touched.push(id);
-            }
-            self.accum[i] += w;
-        }
-        self.touched.sort_unstable();
-        let updates = self.touched.len() as u64;
-
-        self.fired.clear();
-        for &id in &self.touched {
-            let i = id.index();
-            let p = &params[i];
-            let dt = t - self.last_update[i];
-            let v0 = self.voltages[i];
-            let decayed = if dt == 0 || p.decay == 0.0 {
-                v0
-            } else if p.decay == 1.0 {
-                p.v_reset
-            } else {
-                p.v_reset + (v0 - p.v_reset) * (1.0 - p.decay).powi(dt as i32)
-            };
-            let v_hat = decayed + self.accum[i];
-            if v_hat > p.v_threshold {
-                self.fired.push(id.0);
-                self.voltages[i] = p.v_reset;
-            } else {
-                self.voltages[i] = v_hat;
-            }
-            self.last_update[i] = t;
-            self.accum[i] = 0.0;
-            self.dirty[i] = false;
-        }
-        self.touched.clear();
-        (self.batch.len() as u64, updates)
     }
 }
 
@@ -189,7 +135,7 @@ impl PartState {
 pub(super) fn next_superstep(states: &mut [PartState]) -> Option<Time> {
     let mut best: Option<Time> = None;
     for st in states.iter_mut() {
-        if let Some(t) = st.wheel.next_time() {
+        if let Some(t) = st.ev.wheel.next_time() {
             best = Some(best.map_or(t, |b| b.min(t)));
         }
     }
@@ -205,7 +151,7 @@ pub(super) fn aggregate_scheduler<'a>(
 ) -> SchedulerStats {
     let mut agg = SchedulerStats::default();
     for st in states {
-        let s = st.wheel.observe();
+        let s = st.ev.wheel.observe();
         agg.in_flight += s.in_flight;
         agg.occupied_slots += s.occupied_slots;
         agg.overflow_entries += s.overflow_entries;
@@ -306,23 +252,6 @@ impl PartitionPlan {
         threads: usize,
         obs: &mut O,
     ) -> Result<(RunResult, PartitionRunStats), SnnError> {
-        let (result, stats) = self.run_core(initial_spikes, config, threads, obs)?;
-        obs.on_finish(
-            result.steps,
-            result.stats.spike_events,
-            result.stats.synaptic_deliveries,
-            result.stats.neuron_updates,
-        );
-        Ok((result, stats))
-    }
-
-    fn run_core<O: RunObserver>(
-        &self,
-        initial_spikes: &[NeuronId],
-        config: &RunConfig,
-        threads: usize,
-        obs: &mut O,
-    ) -> Result<(RunResult, PartitionRunStats), SnnError> {
         let p = self.parts();
         for &id in initial_spikes {
             if id.index() >= self.neuron_count() {
@@ -331,7 +260,7 @@ impl PartitionPlan {
         }
         let mut rec = Recorder::with_shape(self.neuron_count(), self.terminal(), config)?;
         let mut states: Vec<PartState> = (0..p)
-            .map(|q| PartState::new(self.subnet(q).neuron_count(), self.max_delay(), p))
+            .map(|q| PartState::new(self.subnet(q).params_slice(), self.max_delay(), p))
             .collect();
         // One SPSC channel per ordered pair with at least one cut synapse.
         let channels: Vec<Option<SpikeChannel>> = (0..p * p)
@@ -350,7 +279,10 @@ impl PartitionPlan {
         fired_global.dedup();
         for &id in &fired_global {
             let q = self.assignment()[id.index()] as usize;
-            states[q].fired.push(self.local_of()[id.index()]);
+            states[q]
+                .ev
+                .fired
+                .push(NeuronId(self.local_of()[id.index()]));
         }
         let mut stop_hit = rec.record_step(0, &fired_global, &config.stop);
         let deliveries = self.exchange(0, &mut states, &channels, &mut tick_traffic, &mut rec);
@@ -372,7 +304,7 @@ impl PartitionPlan {
                 StopCondition::MaxSteps | StopCondition::Quiescent
             )
         {
-            let result = rec.finish(0, StopReason::ConditionMet, config)?;
+            let result = rec.finish(0, StopReason::ConditionMet, config, obs)?;
             return Ok((result, self.traffic_stats(&channels, supersteps)));
         }
 
@@ -416,7 +348,7 @@ impl PartitionPlan {
             let mut batch_total = 0u64;
             let mut updates_total = 0u64;
             for (q, st) in states.iter_mut().enumerate() {
-                let (b, u) = st.step(t, self.subnet(q).params_slice());
+                let (b, u) = st.ev.step(t, self.subnet(q).params_slice());
                 batch_total += b;
                 updates_total += u;
             }
@@ -426,7 +358,7 @@ impl PartitionPlan {
             fired_global.clear();
             for (q, st) in states.iter().enumerate() {
                 let globals = self.globals(q);
-                fired_global.extend(st.fired.iter().map(|&l| globals[l as usize]));
+                fired_global.extend(st.ev.fired.iter().map(|l| globals[l.index()]));
             }
             fired_global.sort_unstable();
             last_active = t;
@@ -452,15 +384,15 @@ impl PartitionPlan {
                     StopCondition::MaxSteps | StopCondition::Quiescent
                 )
             {
-                let result = rec.finish(t, StopReason::ConditionMet, config)?;
+                let result = rec.finish(t, StopReason::ConditionMet, config, obs)?;
                 return Ok((result, self.traffic_stats(&channels, supersteps)));
             }
         }
 
-        let result = if states.iter().all(|st| st.wheel.is_empty()) {
-            rec.finish(last_active, StopReason::Quiescent, config)?
+        let result = if states.iter().all(|st| st.ev.wheel.is_empty()) {
+            rec.finish(last_active, StopReason::Quiescent, config, obs)?
         } else {
-            rec.finish(config.max_steps, StopReason::MaxStepsReached, config)?
+            rec.finish(config.max_steps, StopReason::MaxStepsReached, config, obs)?
         };
         Ok((result, self.traffic_stats(&channels, supersteps)))
     }
@@ -479,7 +411,7 @@ impl PartitionPlan {
         rec: &mut Recorder,
     ) -> u64 {
         for (q, st) in states.iter().enumerate() {
-            publish_cut(self, q, &st.fired, channels, t);
+            publish_cut(self, q, &st.ev.fired, channels, t);
         }
         let mut deliveries = 0u64;
         for (q, st) in states.iter_mut().enumerate() {
@@ -532,7 +464,7 @@ impl PartitionPlan {
 pub(super) fn publish_cut(
     plan: &PartitionPlan,
     q: usize,
-    fired: &[u32],
+    fired: &[NeuronId],
     channels: &[Option<SpikeChannel>],
     t: Time,
 ) {
@@ -541,11 +473,11 @@ pub(super) fn publish_cut(
     }
     let p = plan.parts();
     for &l in fired {
-        let cuts = plan.cut_out(q, l as usize);
+        let cuts = plan.cut_out(q, l.index());
         if cuts.is_empty() {
             continue;
         }
-        let src = plan.globals(q)[l as usize].0;
+        let src = plan.globals(q)[l.index()].0;
         for c in cuts {
             channels[q * p + c.part as usize]
                 .as_ref()
@@ -577,11 +509,9 @@ pub(super) fn merge_schedule(
     let csr = plan.subnet(q).csr();
     let globals = plan.globals(q);
     let PartState {
-        wheel,
-        fired,
+        ev: EventState { wheel, fired, .. },
         inbox,
         merge_idx,
-        ..
     } = st;
 
     let mut deliveries = 0u64;
@@ -605,7 +535,7 @@ pub(super) fn merge_schedule(
     // merge scan.
     if inbound == 0 {
         for &l in fired.iter() {
-            for s in csr.out(l as usize) {
+            for s in csr.out(l.index()) {
                 wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
                 deliveries += 1;
             }
@@ -620,7 +550,7 @@ pub(super) fn merge_schedule(
         let mut best_stream = p; // p = the own-fired stream
         let mut found = false;
         if own_i < fired.len() {
-            best_src = globals[fired[own_i] as usize].0;
+            best_src = globals[fired[own_i].index()].0;
             found = true;
         }
         for peer in 0..p {
@@ -636,7 +566,7 @@ pub(super) fn merge_schedule(
             break;
         }
         if best_stream == p {
-            let l = fired[own_i] as usize;
+            let l = fired[own_i].index();
             own_i += 1;
             for s in csr.out(l) {
                 wheel.schedule(t + Time::from(s.delay), s.target, s.weight);
@@ -799,6 +729,33 @@ mod tests {
         for parts in [1, 2, 4, 8] {
             let part = PartitionedEngine::new(parts)
                 .run(&net, &[NeuronId(0)], &cfg)
+                .unwrap();
+            assert_eq!(mono, part, "parts = {parts}");
+        }
+    }
+
+    #[test]
+    fn matches_event_engine_with_nonzero_reset_voltage() {
+        // Voltages start at `v_reset`, not 0: with v_reset = -1 the first
+        // 1.2 input leaves the leaky neuron at 0.2 (no spike) in every
+        // engine, where a zero start would have fired it.
+        let mut net = Network::new();
+        let src = net.add_neuron(LifParams::gate_at_least(1));
+        let leaky = net.add_neuron(LifParams {
+            v_reset: -1.0,
+            v_threshold: 0.5,
+            decay: 0.5,
+        });
+        let sink = net.add_neuron(LifParams::gate_at_least(1));
+        net.connect(src, leaky, 1.2, 1).unwrap();
+        net.connect(src, leaky, 1.2, 2).unwrap();
+        net.connect(leaky, sink, 1.0, 1).unwrap();
+        let cfg = RunConfig::until_quiescent(20);
+        let mono = EventEngine.run(&net, &[src], &cfg).unwrap();
+        assert_eq!(mono.first_spike(leaky), Some(2));
+        for parts in [1, 2, 3] {
+            let part = PartitionedEngine::new(parts)
+                .run(&net, &[src], &cfg)
                 .unwrap();
             assert_eq!(mono, part, "parts = {parts}");
         }
