@@ -112,16 +112,22 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact single-line rendering (what [`Display`]
+    /// produces) to `out`, so a caller can render into a buffer it
+    /// already owns.
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn write(&self, out: &mut String) {
         match self {
             Self::Null => out.push_str("null"),
             Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Self::Int(i) => {
-                let _ = write!(out, "{i}");
+                if *i < 0 {
+                    out.push('-');
+                }
+                write_u64(out, i.unsigned_abs());
             }
-            Self::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
+            Self::UInt(u) => write_u64(out, *u),
             Self::Num(f) => {
                 if f.is_finite() {
                     // `{f:?}` keeps enough digits to round-trip f64 exactly
@@ -166,6 +172,23 @@ impl std::fmt::Display for Json {
         self.write(&mut out);
         f.write_str(&out)
     }
+}
+
+/// Decimal digits of `v`, written back to front into a stack buffer.
+/// Distance rows are mostly integers, and `write!` through the
+/// formatting machinery costs several times this loop per element.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -508,6 +531,16 @@ mod tests {
     }
 
     #[test]
+    fn integers_render_as_display_does() {
+        for u in [0, 9, 10, 99, 100, u64::MAX] {
+            assert_eq!(Json::UInt(u).to_string(), format!("{u}"));
+        }
+        for i in [0, -1, 9, 10, -10, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(i).to_string(), format!("{i}"));
+        }
+    }
+
+    #[test]
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
@@ -530,5 +563,26 @@ mod tests {
         assert_eq!(Json::Int(-5).as_u64(), None);
         assert_eq!(Json::Num(4.0).as_u64(), Some(4));
         assert_eq!(Json::Num(4.5).as_u64(), None);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The digit loop agrees with `Display` at every magnitude: the
+        /// shift spreads cases over 1- to 20-digit values.
+        #[test]
+        fn integers_render_as_display_does(
+            bits in 0u64..=u64::MAX,
+            shift in 0u32..64,
+        ) {
+            let u = bits >> shift;
+            prop_assert_eq!(Json::UInt(u).to_string(), format!("{u}"));
+            let i = bits as i64 >> shift;
+            prop_assert_eq!(Json::Int(i).to_string(), format!("{i}"));
+        }
     }
 }

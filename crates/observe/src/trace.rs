@@ -59,9 +59,10 @@ pub enum Stage {
     EngineRun,
     /// Stepping loop inside the run (first step hook → finish hook).
     Sim,
-    /// Decoding spike times into distances and building the payload.
+    /// Decoding spike times into distances and building the payload
+    /// (a query's payload is rendered here, once).
     Readout,
-    /// Rendering the response line.
+    /// Rendering the response line around the payload.
     Serialize,
     /// Writing the response bytes to the socket.
     Write,

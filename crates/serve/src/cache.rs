@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use sgl_core::{khop_layered, sssp_pseudo::SpikingSssp};
 use sgl_graph::{Graph, Len};
-use sgl_observe::{Json, PhaseProfiler, RunObserver};
+use sgl_observe::{parse_json, Json, PhaseProfiler, RunObserver};
 use sgl_snn::engine::{
     BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine, RunConfig, RunResult,
     RunScratch,
@@ -127,15 +127,22 @@ pub enum ResultKey {
     },
 }
 
-/// A memoized query answer: the structured `data` object (already
-/// carrying `"cache": "hit"`) for in-process callers that inspect fields,
-/// plus the same object pre-serialized for the TCP path to splice
-/// verbatim into a response line without re-rendering distances.
+/// A memoized query answer: the rendered `data` object (already carrying
+/// `"cache": "hit"`) that the TCP path splices verbatim into a response
+/// line, plus its structured form for in-process callers that inspect
+/// fields.
+///
+/// The memo retains **only** `rendered`: [`GraphHandle::store_result`]
+/// drops `data`, and [`GraphHandle::cached_result`] re-derives it by
+/// parsing the bytes. That round trip is exact for answer payloads —
+/// the parser returns `UInt` for every non-negative integer — and it
+/// keeps a full distance row at its rendered size (about 4 bytes a
+/// node) instead of a 32-byte `Json` per node.
 #[derive(Clone, Debug)]
 pub struct CachedResult {
     /// Structured `data` payload, `cache` field already `"hit"`.
     pub data: Json,
-    /// `data.to_string()` of that payload, rendered exactly once.
+    /// The compact rendering of that payload.
     pub rendered: Arc<str>,
 }
 
@@ -144,6 +151,12 @@ pub struct CachedResult {
 /// only bites adversarial key churn; when it does we stop inserting
 /// (the networks still answer everything) rather than evicting.
 const RESULT_CACHE_CAP: usize = 65_536;
+
+/// Per-handle budget for the memo's rendered bytes. The entry cap alone
+/// lets a client that walks distinct sources of a 10^4-node graph park
+/// 65,536 full rows of about 37 KB each (about 2.4 GB); past this budget
+/// [`GraphHandle::store_result`] is a no-op, exactly as past the cap.
+const RESULT_CACHE_BYTES: u64 = 256 << 20;
 
 /// A graph registered with the server, plus the compiled networks built
 /// from it. Scoping the cache to the handle ties every compiled network's
@@ -159,10 +172,11 @@ pub struct GraphHandle {
     pub fingerprint: u64,
     /// Compiled networks built from `graph`, by construction/params.
     nets: Mutex<HashMap<Algo, Arc<CompiledNet>>>,
-    /// Memoized query answers (see [`ResultKey`]); sound because the
-    /// graph behind a handle is immutable — replacement makes a new
-    /// handle, and the memo dies with this one.
-    results: Mutex<HashMap<ResultKey, CachedResult>>,
+    /// Memoized query answers as rendered bytes (see [`ResultKey`] and
+    /// [`CachedResult`]); sound because the graph behind a handle is
+    /// immutable — replacement makes a new handle, and the memo dies
+    /// with this one.
+    results: Mutex<HashMap<ResultKey, Arc<str>>>,
     /// Rendered bytes held by `results` (the `server_stats` gauge).
     result_bytes: AtomicU64,
     /// Memoized `graph_stats` answer (eccentricity etc. are O(n + m)
@@ -208,23 +222,22 @@ impl GraphHandle {
             .sum()
     }
 
-    /// The memoized answer for `key`, if one is stored.
+    /// The memoized answer for `key`, if one is stored, with `data`
+    /// parsed back from the stored bytes (in-process callers only; the
+    /// TCP path takes [`Self::cached_rendered`]).
     ///
     /// # Panics
     /// Panics if the handle's result lock is poisoned.
     #[must_use]
     pub fn cached_result(&self, key: &ResultKey) -> Option<CachedResult> {
-        self.results
-            .lock()
-            .expect("handle result lock")
-            .get(key)
-            .cloned()
+        let rendered = self.cached_rendered(key)?;
+        // Bytes that do not parse answer as a miss: the query recomputes.
+        let data = parse_json(&rendered).ok()?;
+        Some(CachedResult { data, rendered })
     }
 
-    /// The rendered bytes of a memoized answer, without cloning the
-    /// structured tree — the TCP hot path splices these verbatim, so a
-    /// hit must cost an `Arc` bump, not a deep copy of a distances
-    /// array.
+    /// The rendered bytes of a memoized answer — the TCP hot path
+    /// splices these verbatim, so a hit costs an `Arc` bump.
     ///
     /// # Panics
     /// Panics if the handle's result lock is poisoned.
@@ -234,21 +247,35 @@ impl GraphHandle {
             .lock()
             .expect("handle result lock")
             .get(key)
-            .map(|r| Arc::clone(&r.rendered))
+            .cloned()
     }
 
-    /// Memoizes an answer. Past [`RESULT_CACHE_CAP`] entries the store is
+    /// Memoizes an answer's rendered bytes (`result.data` is dropped; see
+    /// [`CachedResult`]). Past [`RESULT_CACHE_CAP`] entries, or when the
+    /// bytes would take the memo past [`RESULT_CACHE_BYTES`], the store is
     /// a no-op — correctness never depends on an insert landing.
     ///
     /// # Panics
     /// Panics if the handle's result lock is poisoned.
     pub fn store_result(&self, key: ResultKey, result: CachedResult) {
+        self.store_rendered(key, result.rendered);
+    }
+
+    /// Memoizes an answer's rendered bytes, `cache` field already
+    /// `"hit"` (the serve path's store: it never builds `data` twice).
+    /// No-op past the entry cap or the byte budget, as
+    /// [`Self::store_result`].
+    ///
+    /// # Panics
+    /// Panics if the handle's result lock is poisoned.
+    pub fn store_rendered(&self, key: ResultKey, rendered: Arc<str>) {
         let mut map = self.results.lock().expect("handle result lock");
-        if map.len() >= RESULT_CACHE_CAP {
+        let bytes = rendered.len() as u64;
+        let resident = self.result_bytes.load(Ordering::Relaxed);
+        if map.len() >= RESULT_CACHE_CAP || resident.saturating_add(bytes) > RESULT_CACHE_BYTES {
             return;
         }
-        let bytes = result.rendered.len() as u64;
-        if map.insert(key, result).is_none() {
+        if map.insert(key, rendered).is_none() {
             self.result_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
@@ -845,6 +872,29 @@ mod tests {
         assert!(handle
             .cached_result(&ResultKey::Khop { source: 3, k: 2 })
             .is_none());
+    }
+
+    #[test]
+    fn result_memo_stops_storing_past_its_byte_budget() {
+        let handle = GraphHandle::new("g", ref_graph(112));
+        // One shared 1 MiB line stored under distinct keys: the budget
+        // counts rendered length per entry, so nothing big is allocated.
+        let line: Arc<str> = "7".repeat(1 << 20).into();
+        let entries = RESULT_CACHE_BYTES / line.len() as u64;
+        for source in 0..entries + 8 {
+            handle.store_rendered(
+                ResultKey::ApspRow {
+                    source: source as u32,
+                },
+                Arc::clone(&line),
+            );
+        }
+        assert!(handle.resident_result_bytes() <= RESULT_CACHE_BYTES);
+        assert_eq!(handle.resident_results() as u64, entries);
+        let past = ResultKey::ApspRow {
+            source: entries as u32,
+        };
+        assert!(handle.cached_rendered(&past).is_none(), "store was a no-op");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   memo**: answers are pure functions of `(graph, algo, params)`, so a
 //!   memo hit skips compile, simulation, readout, *and* (for TCP
 //!   clients) JSON rendering — the pre-rendered bytes are spliced
-//!   verbatim via [`Json::Raw`].
+//!   verbatim via [`Json::Raw`]. The memo keeps only those bytes, never
+//!   the `Json` tree; a miss renders its answer once and cuts both the
+//!   memo copy and the TCP reply from that render.
 //! * **Control ops** (`load_graph`, `graph_stats`, `server_stats`,
 //!   `shutdown`) execute inline on the calling thread. `server_stats`
 //!   and `shutdown` **must** bypass the queues: they are exactly the
@@ -45,9 +47,7 @@ use sgl_observe::{parse_json, Json};
 use sgl_snn::engine::RunScratch;
 
 use crate::admission::{AdmissionError, AdmissionQueue, Job, Lifecycle, ReplyTo, ResponseSlot};
-use crate::cache::{
-    name_hash, Algo, CacheOutcome, CachedResult, GraphRegistry, NetCache, ResultKey,
-};
+use crate::cache::{name_hash, Algo, CacheOutcome, GraphRegistry, NetCache, ResultKey};
 use crate::protocol::{
     distances_json, parse_request, CacheMode, Envelope, ErrorKind, OpKind, Request, Response,
 };
@@ -530,10 +530,11 @@ fn check_node(n: usize, node: usize, what: &str) -> Result<(), Response> {
 /// preconditions of the compiled constructions are validated here first,
 /// so shards never die: every failure becomes a typed response.
 ///
-/// `prefer_raw`: a memoized answer comes back as [`Json::Raw`]
-/// pre-rendered bytes instead of a structured value — only valid when
-/// the caller serializes the response without inspecting `data` (the
-/// TCP path). In-process callers get the structured clone.
+/// `prefer_raw`: the answer comes back as [`Json::Raw`] rendered bytes
+/// instead of a structured value — the memoized bytes on a hit, the one
+/// render of a miss otherwise. Only valid when the caller serializes the
+/// response without inspecting `data` (the TCP path). In-process callers
+/// get the structured value.
 pub(crate) fn execute_query(
     inner: &ServerInner,
     request: &Request,
@@ -669,9 +670,9 @@ fn run_distance_query(
     };
     let lookup_start = Instant::now();
     if let Some(key) = memo_key {
-        // Raw-preferring callers (the TCP path) take only the rendered
-        // bytes — an Arc bump — never a deep clone of the structured
-        // tree they would immediately discard.
+        // The memo holds rendered bytes only. Raw-preferring callers
+        // (the TCP path) splice them — an Arc bump; in-process callers
+        // get the structured value parsed back from them.
         let hit_data = if prefer_raw {
             handle.cached_rendered(&key).map(Json::Raw)
         } else {
@@ -732,11 +733,11 @@ fn run_distance_query(
         net.run(source, target, scratch)
     }
     .map_err(|e| Response::error(ErrorKind::Internal, format!("simulation failed: {e}")))?;
+    // Readout: decode, build the payload, render it once, memoize the
+    // bytes. The render sits inside this span so the serialize stage
+    // that follows covers only the envelope splice.
     let readout_start = Instant::now();
     let distances = net.decode(&run);
-    if let Some(ctx) = trace.as_deref_mut() {
-        ctx.record(Stage::Readout, ctx.ns_at(readout_start), ctx.now_ns());
-    }
     let mut fields = vec![("source", Json::UInt(source as u64))];
     if let Some(k) = k {
         fields.push(("k", Json::UInt(u64::from(k))));
@@ -753,22 +754,43 @@ fn run_distance_query(
         ));
         fields.push(("distances", distances_json(&distances)));
     }
-    if let Some(key) = memo_key {
-        // The memoized copy reports `cache: "hit"` — that is what every
-        // future reader of it will truthfully be — and pre-renders the
-        // JSON so raw-preferring callers splice bytes without touching
-        // the structure again.
-        let mut memo_fields = fields.clone();
-        memo_fields.push(("cache", Json::Str("hit".into())));
-        let data = Json::obj(memo_fields);
-        let rendered: Arc<str> = data.to_string().into();
-        handle.store_result(key, CachedResult { data, rendered });
+    let mut data = Json::obj(fields);
+    let outcome = outcome.as_str();
+    // One render serves both outputs: the memo copy reports `cache:
+    // "hit"` — what every future reader of it will truthfully be — and
+    // the reply its own outcome. Only that trailing field differs, so
+    // both are cut from one body rendered without its closing `}`.
+    let body = (memo_key.is_some() || prefer_raw).then(|| {
+        let mut body = String::new();
+        data.write(&mut body);
+        body.pop();
+        body
+    });
+    if let (Some(key), Some(body)) = (memo_key, &body) {
+        handle.store_rendered(key, with_cache_field(body, "hit"));
     }
-    fields.push(("cache", Json::Str(outcome.as_str().into())));
-    Ok(Response::Ok {
-        op,
-        data: Json::obj(fields),
-    })
+    let data = match body {
+        // Raw-preferring callers (the TCP path) get the rendered bytes,
+        // so serializing the response splices them instead of cloning
+        // and re-rendering the tree.
+        Some(body) if prefer_raw => Json::Raw(with_cache_field(&body, outcome)),
+        _ => {
+            if let Json::Obj(pairs) = &mut data {
+                pairs.push(("cache".into(), Json::Str(outcome.into())));
+            }
+            data
+        }
+    };
+    if let Some(ctx) = trace.as_deref_mut() {
+        ctx.record(Stage::Readout, ctx.ns_at(readout_start), ctx.now_ns());
+    }
+    Ok(Response::Ok { op, data })
+}
+
+/// Closes a rendered answer object whose final `}` was cut off, adding
+/// the trailing `"cache"` field.
+fn with_cache_field(body: &str, outcome: &str) -> Arc<str> {
+    [body, r#","cache":""#, outcome, r#""}"#].concat().into()
 }
 
 /// Executes a control op inline on the calling thread.
@@ -1092,6 +1114,151 @@ mod tests {
             panic!("{resp:?}");
         };
         assert_eq!(data.get("cache").and_then(Json::as_str), Some("bypass"));
+    }
+
+    #[test]
+    fn in_process_memo_hit_replays_the_miss_data_exactly() {
+        let session = Session::open_default();
+        // A graph per query, so each first answer is a compile miss.
+        let g = |i: usize| format!("g{i}");
+        let requests = [
+            Request::Sssp {
+                graph: g(0),
+                source: 2,
+                target: None,
+                cache: CacheMode::Default,
+            },
+            Request::Sssp {
+                graph: g(1),
+                source: 2,
+                target: Some(17),
+                cache: CacheMode::Default,
+            },
+            Request::Khop {
+                graph: g(2),
+                source: 2,
+                k: 3,
+                cache: CacheMode::Default,
+            },
+            Request::ApspRow {
+                graph: g(3),
+                source: 2,
+                cache: CacheMode::Default,
+            },
+        ];
+        for (i, request) in requests.into_iter().enumerate() {
+            load(&session, &g(i), 31 + i as u64, 24, 90);
+            let Response::Ok { data: miss, .. } = session.call_request(request.clone()) else {
+                panic!("miss failed");
+            };
+            let Response::Ok { data: hit, .. } = session.call_request(request) else {
+                panic!("hit failed");
+            };
+            // The hit's tree is parsed back from the memo's bytes; it must
+            // equal the computed tree with only `cache` switched.
+            let Json::Obj(mut want) = miss else {
+                panic!("data is an object");
+            };
+            let (key, outcome) = want.pop().expect("cache field is last");
+            assert_eq!((key.as_str(), outcome), ("cache", Json::Str("miss".into())));
+            want.push(("cache".into(), Json::Str("hit".into())));
+            assert_eq!(hit, Json::Obj(want), "query {i}");
+        }
+    }
+
+    #[test]
+    fn queries_answer_when_the_memo_is_over_its_byte_budget() {
+        let session = Session::open_default();
+        let mut rng = StdRng::seed_from_u64(33);
+        let g = generators::gnm_connected(&mut rng, 24, 90, 1..=9);
+        let resp = session.call_request(Request::LoadGraph {
+            name: "g".into(),
+            dimacs: to_dimacs(&g, ""),
+        });
+        assert!(resp.is_ok(), "{resp:?}");
+        // Fill the memo with one shared 1 MiB line under keys no query
+        // below asks for, until stores stop landing.
+        let handle = session.inner.partition("g").get("g").unwrap();
+        let line: Arc<str> = "0".repeat(1 << 20).into();
+        for k in 1000.. {
+            let before = handle.resident_results();
+            handle.store_rendered(ResultKey::Khop { source: 0, k }, Arc::clone(&line));
+            if handle.resident_results() == before {
+                break;
+            }
+        }
+        let full = handle.resident_result_bytes();
+        for line in [
+            r#"{"op":"sssp","graph":"g","source":2}"#,
+            r#"{"op":"sssp","graph":"g","source":2}"#,
+        ] {
+            let v = parse_json(&session.call_line(line)).unwrap();
+            let data = v.get("data").expect("answered");
+            let got = crate::protocol::parse_distances(data.get("distances").unwrap()).unwrap();
+            assert_eq!(got, dijkstra(&g, 2).distances);
+        }
+        assert_eq!(handle.resident_result_bytes(), full, "nothing more stored");
+    }
+
+    #[test]
+    fn traced_tcp_miss_renders_in_readout_before_serialize() {
+        use crate::trace::TraceConfig;
+        let server = crate::tcp::LoopbackServer::start(ServerConfig {
+            shards: 1,
+            trace: TraceConfig {
+                sample_one_in: 1,
+                ..TraceConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let mut rng = StdRng::seed_from_u64(35);
+        let g = generators::gnm_connected(&mut rng, 64, 256, 1..=9);
+        let resp = server.session().call_request(Request::LoadGraph {
+            name: "g".into(),
+            dimacs: to_dimacs(&g, ""),
+        });
+        assert!(resp.is_ok(), "{resp:?}");
+        let mut client = crate::stress::TcpClient::connect(server.addr).unwrap();
+        let resp = crate::stress::Client::call(
+            &mut client,
+            Envelope {
+                trace_id: Some(4242),
+                ..Envelope::of(Request::Sssp {
+                    graph: "g".into(),
+                    source: 1,
+                    target: None,
+                    cache: CacheMode::Default,
+                })
+            },
+        );
+        assert!(resp.is_ok(), "{resp:?}");
+        // The shard finishes the trace after its write; wait for it.
+        let span = |events: &[Json], name: &str| {
+            events.iter().find_map(|e| {
+                let ours = e.get("args").and_then(|a| a.get("trace_id")) == Some(&Json::UInt(4242));
+                (ours && e.get("name").and_then(Json::as_str) == Some(name)).then(|| {
+                    // Chrome timestamps are µs floats of integer ns.
+                    let ns =
+                        |k: &str| (e.get(k).and_then(Json::as_f64).unwrap() * 1e3).round() as u64;
+                    (ns("ts"), ns("ts") + ns("dur"))
+                })
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (readout, serialize) = loop {
+            let dump = server.session().tracing().chrome(None);
+            let events = dump.get("traceEvents").and_then(Json::as_arr).unwrap();
+            if let (Some(r), Some(s)) = (span(events, "readout"), span(events, "serialize")) {
+                break (r, s);
+            }
+            assert!(Instant::now() < deadline, "trace 4242 never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(
+            readout.1 <= serialize.0,
+            "readout {readout:?} must end before serialize {serialize:?} starts"
+        );
+        server.stop();
     }
 
     #[test]

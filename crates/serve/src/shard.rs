@@ -521,8 +521,9 @@ fn read_conn(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn, chun
                 return;
             }
             Ok(n) => {
+                let scanned = conn.rbuf.len();
                 conn.rbuf.extend_from_slice(&chunk[..n]);
-                process_lines(inner, me, id, conn);
+                process_lines(inner, me, id, conn, scanned);
                 if conn.dead || conn.eof {
                     return;
                 }
@@ -542,13 +543,19 @@ fn read_conn(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn, chun
     }
 }
 
-fn process_lines(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn) {
+/// Handles every complete line in the connection's read buffer. The
+/// first `scanned` bytes are known to hold no newline (a buffer left
+/// behind here never does), so the search starts past them: a long
+/// line arriving in many reads is scanned once, not once per read.
+fn process_lines(inner: &Arc<ServerInner>, me: usize, id: u64, conn: &mut Conn, scanned: usize) {
     let mut buf = std::mem::take(&mut conn.rbuf);
     let mut start = 0;
-    while let Some(rel) = buf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + rel;
+    let mut from = scanned;
+    while let Some(rel) = buf[from..].iter().position(|&b| b == b'\n') {
+        let end = from + rel;
         handle_line(inner, me, id, conn, &buf[start..end]);
         start = end + 1;
+        from = start;
         if conn.dead {
             break;
         }

@@ -214,24 +214,30 @@ mod tests {
             r#"{"op":"load_graph","name":"g","dimacs":"p sp 3 3\na 1 2 2\na 2 3 2\na 1 3 5\n","id":1}"#,
         );
         assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
-        // Three chunks with long gaps, the splits inside the JSON — not
-        // at a line boundary.
-        let request = "{\"op\":\"sssp\",\"graph\":\"g\",\"source\":0,\"id\":42}\n";
-        for chunk in [&request[..14], &request[14..30], &request[30..]] {
+        // Chunks with long gaps, the splits inside the JSON — not at a
+        // line boundary. The third chunk ends request 42, carries all of
+        // request 43 and starts request 44, which the fourth ends.
+        let request =
+            |id: u64| format!("{{\"op\":\"sssp\",\"graph\":\"g\",\"source\":0,\"id\":{id}}}\n");
+        let (r42, r44) = (request(42), request(44));
+        let third = format!("{}{}{}", &r42[30..], request(43), &r44[..20]);
+        for chunk in [&r42[..14], &r42[14..30], &third, &r44[20..]] {
             stream.write_all(chunk.as_bytes()).unwrap();
             stream.flush().unwrap();
             std::thread::sleep(Duration::from_millis(120));
         }
-        let mut out = String::new();
-        reader.read_line(&mut out).unwrap();
-        let v = parse_json(out.trim()).expect("valid response JSON");
-        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{out}");
-        assert_eq!(v.get("id").and_then(Json::as_u64), Some(42));
-        let d = v.get("data").and_then(|d| d.get("distances")).unwrap();
-        assert_eq!(
-            crate::protocol::parse_distances(d).unwrap(),
-            vec![Some(0), Some(2), Some(4)]
-        );
+        for id in 42..=44 {
+            let mut out = String::new();
+            reader.read_line(&mut out).unwrap();
+            let v = parse_json(out.trim()).expect("valid response JSON");
+            assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{out}");
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(id));
+            let d = v.get("data").and_then(|d| d.get("distances")).unwrap();
+            assert_eq!(
+                crate::protocol::parse_distances(d).unwrap(),
+                vec![Some(0), Some(2), Some(4)]
+            );
+        }
         // The connection stays usable afterwards.
         let v = send(&mut stream, &mut reader, r#"{"op":"server_stats"}"#);
         assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));

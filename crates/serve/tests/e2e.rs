@@ -288,21 +288,58 @@ fn tcp_pipelining_echoes_ids_in_order() {
     server.stop();
 }
 
+/// Sends one request line on a fresh TCP connection and returns the
+/// response line without its newline.
+fn tcp_line(addr: std::net::SocketAddr, line: &str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(line.as_bytes()).unwrap();
+    writer.write_all(b"\n").unwrap();
+    let mut got = String::new();
+    reader.read_line(&mut got).unwrap();
+    got.trim_end().to_string()
+}
+
 /// One request line sent over TCP connections landing on every shard,
 /// and through the in-process session, yields byte-identical response
-/// lines — the memoized raw-splice fast path must not be observable.
+/// lines — neither the memoized raw splice on a hit nor the single
+/// render a miss shares between its reply and the memo may be
+/// observable.
 #[test]
 fn responses_are_byte_identical_across_shards_and_session() {
     let server = LoopbackServer::start(ServerConfig {
         shards: 3,
         ..ServerConfig::default()
     });
+    let fresh = Session::open_default();
     let mut setup = TcpClient::connect(server.addr).unwrap();
+    let mut in_process = SessionClient(&fresh);
     let mut rng = StdRng::seed_from_u64(41);
     // Several graph names so the routing hash spreads them over shards.
     for name in ["alpha", "beta", "gamma", "delta"] {
         let g = generators::gnm_connected(&mut rng, 20, 70, 1..=9);
         load(&mut setup, name, &g);
+        load(&mut in_process, name, &g);
+    }
+    // Misses: each line's first answer over TCP (rendered once, spliced
+    // raw) equals the same first answer on a fresh server in-process
+    // (a structured tree rendered at serialization). Per graph the order
+    // covers a compile miss, a memo miss on a resident network and a
+    // bypass, for every construction.
+    for name in ["alpha", "beta", "gamma", "delta"] {
+        for query in [
+            r#""op":"sssp","source":3"#,
+            r#""op":"sssp","source":5,"target":11"#,
+            r#""op":"khop","source":2,"k":3"#,
+            r#""op":"apsp_row","source":4"#,
+            r#""op":"sssp","source":6,"cache":"bypass""#,
+        ] {
+            let line = format!("{{{query},\"graph\":\"{name}\",\"id\":9}}");
+            let got = tcp_line(server.addr, &line);
+            assert_eq!(got, fresh.call_line(&line), "first answer to {line}");
+        }
     }
     for name in ["alpha", "beta", "gamma", "delta"] {
         let line = format!("{{\"op\":\"sssp\",\"graph\":\"{name}\",\"source\":3,\"id\":9}}");
@@ -312,17 +349,14 @@ fn responses_are_byte_identical_across_shards_and_session() {
         // New connections round-robin over the 3 shards; each must splice
         // the exact same bytes.
         for conn in 0..3 {
-            use std::io::{BufRead, BufReader, Write};
-            let stream = std::net::TcpStream::connect(server.addr).unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
-            writer.write_all(line.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            let mut got = String::new();
-            reader.read_line(&mut got).unwrap();
-            assert_eq!(got.trim_end(), want, "graph {name}, connection {conn}");
+            assert_eq!(
+                tcp_line(server.addr, &line),
+                want,
+                "graph {name}, connection {conn}"
+            );
         }
     }
+    fresh.shutdown();
     server.stop();
 }
 
