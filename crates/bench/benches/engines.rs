@@ -18,9 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgl_core::sssp_pseudo::SpikingSssp;
 use sgl_graph::{generators, Graph};
-use sgl_snn::engine::{
-    BitplaneEngine, DenseEngine, Engine, EventEngine, ParallelDenseEngine, RunConfig,
-};
+use sgl_snn::engine::{BitplaneEngine, DenseEngine, Engine, EventEngine, RunConfig};
 use sgl_snn::{LifParams, Network, NeuronId};
 
 /// Gate network over `g`'s edge set: threshold-0.5 memoryless neurons,
@@ -65,10 +63,6 @@ fn bench_engines(c: &mut Criterion) {
             });
             group.bench_with_input(BenchmarkId::new("bitplane", n), &n, |b, _| {
                 b.iter(|| BitplaneEngine.run(&net, &[NeuronId(0)], &cfg).unwrap());
-            });
-            group.bench_with_input(BenchmarkId::new("parallel_dense", n), &n, |b, _| {
-                let engine = ParallelDenseEngine::new(4);
-                b.iter(|| engine.run(&net, &[NeuronId(0)], &cfg).unwrap());
             });
         }
     }

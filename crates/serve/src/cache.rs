@@ -36,12 +36,8 @@ use std::time::Duration;
 
 use sgl_core::{khop_layered, sssp_pseudo::SpikingSssp};
 use sgl_graph::{Graph, Len};
-use sgl_observe::{parse_json, Json, PhaseProfiler, RunObserver};
-use sgl_snn::engine::{
-    BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine, RunConfig, RunResult,
-    RunScratch,
-};
-use sgl_snn::partition::PartitionedEngine;
+use sgl_observe::{parse_json, Json, NullObserver, PhaseProfiler, RunObserver};
+use sgl_snn::engine::{EngineChoice, RunConfig, RunResult, RunScratch};
 use sgl_snn::{Network, NeuronId, SnnError};
 
 /// Structural fingerprint of a graph: 64-bit FNV-1a over `(n, m)` and the
@@ -519,27 +515,7 @@ impl CompiledNet {
         target: Option<usize>,
         scratch: &mut RunScratch,
     ) -> Result<RunResult, SnnError> {
-        let config = match (self.algo, target) {
-            // Target-directed stop lives in the RunConfig, not the
-            // network, so the cached network stays target-independent.
-            (Algo::Sssp, Some(t)) => RunConfig::until_all(vec![NeuronId(t as u32)], self.budget),
-            _ => RunConfig::until_quiescent(self.budget),
-        };
-        let spikes = self.initial_spikes(source);
-        match self.engine {
-            EngineChoice::Dense => {
-                DenseEngine.run_with_scratch(&self.net, &spikes, &config, scratch)
-            }
-            EngineChoice::Bitplane => {
-                BitplaneEngine.run_with_scratch(&self.net, &spikes, &config, scratch)
-            }
-            // No scratch path: the partitioned engine owns per-partition
-            // state (chosen by Auto only for nets too big for one engine).
-            EngineChoice::Partitioned { parts, threads } => PartitionedEngine::new(parts)
-                .with_threads(threads)
-                .run(&self.net, &spikes, &config),
-            _ => EventEngine.run_with_scratch(&self.net, &spikes, &config, scratch),
-        }
+        self.run_observed(source, target, scratch, &mut NullObserver)
     }
 
     /// [`Self::run`] with a [`RunObserver`] attached — the traced query
@@ -556,22 +532,14 @@ impl CompiledNet {
         obs: &mut O,
     ) -> Result<RunResult, SnnError> {
         let config = match (self.algo, target) {
+            // Target-directed stop lives in the RunConfig, not the
+            // network, so the cached network stays target-independent.
             (Algo::Sssp, Some(t)) => RunConfig::until_all(vec![NeuronId(t as u32)], self.budget),
             _ => RunConfig::until_quiescent(self.budget),
         };
         let spikes = self.initial_spikes(source);
-        match self.engine {
-            EngineChoice::Dense => {
-                DenseEngine.run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs)
-            }
-            EngineChoice::Bitplane => {
-                BitplaneEngine.run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs)
-            }
-            EngineChoice::Partitioned { parts, threads } => PartitionedEngine::new(parts)
-                .with_threads(threads)
-                .run_observed(&self.net, &spikes, &config, obs),
-            _ => EventEngine.run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs),
-        }
+        self.engine
+            .run_with_scratch_observed(&self.net, &spikes, &config, scratch, obs)
     }
 
     /// Decodes per-node distances from a finished run.

@@ -16,7 +16,7 @@
 //!   restores the exact observable state a fresh construction would
 //!   have, *without* releasing capacity, so recycled runs are
 //!   bit-identical to fresh ones (a proptest in `tests/batch_identity.rs`
-//!   holds all three engines to this).
+//!   holds every engine to this).
 //! * [`BatchRunner`] — executes a set of [`RunSpec`]s against one shared
 //!   network across a worker pool; each worker owns one scratch and
 //!   claims runs off an atomic work-stealing index, so a slow wavefront
@@ -29,7 +29,12 @@
 //! Engine selection is per batch via [`EngineChoice`]: `Auto` picks the
 //! event engine unless the network forces dense stepping (spontaneous
 //! neurons) or is dense enough that per-step touched-set bookkeeping
-//! costs more than a linear sweep.
+//! costs more than a linear sweep; both of those go to the bit-plane
+//! engine. [`EngineChoice::run_with_scratch_observed`] is the one place a
+//! choice becomes an engine call: the batch pool and the serve layer both
+//! dispatch through it. [`DenseEngine`](super::DenseEngine) is not a
+//! choice — it is the literal Definitions 1–2 reference the differential
+//! suites compare every choice against.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +43,7 @@ use std::sync::Mutex;
 use sgl_observe::BatchSummary;
 
 use super::event::EventState;
-use super::{BitplaneEngine, DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, RunResult};
+use super::{BitplaneEngine, EventEngine, NullObserver, RunConfig, RunObserver, RunResult};
 use crate::error::SnnError;
 use crate::network::Network;
 use crate::types::{NeuronId, Time};
@@ -138,27 +143,24 @@ const AUTO_MAX_PARTS: usize = 16;
 /// Which engine a batch (or job) runs on.
 #[derive(Clone, Copy, Debug, Default)]
 pub enum EngineChoice {
-    /// Pick per network: [`DenseEngine`] when the network has spontaneous
-    /// neurons (the event engine rejects them; the reference engine is
-    /// the conservative choice), [`BitplaneEngine`] when the topology is
-    /// dense in space — `m >= n² /` [`DENSE_CROSSOVER_INV`], a measured
+    /// Pick per network: [`BitplaneEngine`] when the network has
+    /// spontaneous neurons (the event engine rejects them; bit-plane steps
+    /// every neuron every step, bit-identical to the reference
+    /// [`DenseEngine`](super::DenseEngine)) or when the topology is dense
+    /// in space — `m >= n² /` [`DENSE_CROSSOVER_INV`], a measured
     /// crossover — *and* in time (`max_delay <=` [`DENSE_MAX_DELAY`]),
     /// so a word-parallel frontier sweep beats touched-set bookkeeping;
     /// [`EventEngine`] otherwise — the right default for the sparse,
-    /// delay-encoded graph circuits the paper builds.
+    /// delay-encoded graph circuits the paper builds. An unresolved
+    /// `Auto` handed straight to [`Self::run_with_scratch_observed`] runs
+    /// on the bit-plane engine, which accepts every valid network.
     #[default]
     Auto,
-    /// Always the reference dense engine.
-    Dense,
     /// Always the event-driven engine (fails on spontaneous neurons).
     Event,
     /// Always the bit-plane dense engine (dense semantics, wheel-free
     /// bitmask spike routing; see DESIGN.md "Bit-plane execution").
     Bitplane,
-    /// Always the given thread-parallel dense engine. Note the batch
-    /// runner already parallelizes *across* runs; nesting a parallel
-    /// engine inside it oversubscribes unless the batch pool is small.
-    Parallel(ParallelDenseEngine),
     /// Always the partitioned engine with `parts` partitions (default
     /// cut strategy; fails on spontaneous neurons, like `Event`). `Auto`
     /// also routes here when the monolithic footprint would exceed the
@@ -186,7 +188,7 @@ impl EngineChoice {
     /// [`Network::memory_bytes`] exceeds `budget` resolves to
     /// [`Self::Partitioned`] with enough partitions to bring each
     /// partition's share back under budget (capped; spontaneous networks
-    /// still take the dense route, which the partitioned engine cannot
+    /// still take the bit-plane route, which the partitioned engine cannot
     /// replace). The partitioned pick is core-aware — see
     /// [`Self::resolve_with_budget_and_cores`], which this calls with
     /// [`std::thread::available_parallelism`].
@@ -219,7 +221,7 @@ impl EngineChoice {
                     n > 0 && (net.synapse_count() as u128) * DENSE_CROSSOVER_INV >= n * n;
                 let memory = net.memory_bytes();
                 if spontaneous {
-                    Self::Dense
+                    Self::Bitplane
                 } else if memory > budget && budget > 0 {
                     let base = memory.div_ceil(budget).clamp(2, AUTO_MAX_PARTS);
                     let (parts, threads) = (1..=cores.clamp(1, base))
@@ -235,6 +237,40 @@ impl EngineChoice {
                 }
             }
             explicit => explicit,
+        }
+    }
+
+    /// Runs one query on the engine this choice names, over a recycled
+    /// `scratch`, reporting to `obs`. This is the single dispatch from a
+    /// choice to an engine; `Auto` is expected to be resolved first and
+    /// otherwise runs on the bit-plane engine.
+    ///
+    /// # Errors
+    /// Same failure modes as [`super::Engine::run`] on the chosen engine.
+    pub fn run_with_scratch_observed<O: RunObserver>(
+        self,
+        net: &Network,
+        initial: &[NeuronId],
+        config: &RunConfig,
+        scratch: &mut RunScratch,
+        obs: &mut O,
+    ) -> Result<RunResult, SnnError> {
+        match self {
+            Self::Event => {
+                EventEngine.run_with_scratch_observed(net, initial, config, scratch, obs)
+            }
+            Self::Bitplane | Self::Auto => {
+                BitplaneEngine.run_with_scratch_observed(net, initial, config, scratch, obs)
+            }
+            // Compiles a fresh plan per run and keeps its own
+            // per-partition state, so `scratch` goes unused: the
+            // partitioned engine targets nets too large for one address
+            // space, where the run dwarfs the compile. Callers wanting
+            // compile-once reuse should hold a `PartitionPlan` and call
+            // `PartitionPlan::run` themselves.
+            Self::Partitioned { parts, threads } => crate::partition::PartitionedEngine::new(parts)
+                .with_threads(threads)
+                .run_observed(net, initial, config, obs),
         }
     }
 }
@@ -291,7 +327,7 @@ pub struct BatchRunner<'a> {
 
 impl<'a> BatchRunner<'a> {
     /// A runner over `net` with [`EngineChoice::Auto`] and one worker per
-    /// available core (capped at 8, like [`ParallelDenseEngine`]).
+    /// available core (capped at 8).
     #[must_use]
     pub fn new(net: &'a Network) -> Self {
         Self {
@@ -386,33 +422,20 @@ pub fn summarize(results: &[RunResult]) -> BatchSummary {
     summary
 }
 
-/// Dispatches one run to the resolved engine.
+/// Runs one spec on the resolved engine, unobserved.
 fn run_resolved(
     choice: EngineChoice,
     net: &Network,
     spec: &RunSpec,
     scratch: &mut RunScratch,
 ) -> Result<RunResult, SnnError> {
-    let (initial, config) = (&spec.initial_spikes, &spec.config);
-    match choice {
-        // `Auto` cannot survive `resolve`; dense is the safe fallback.
-        EngineChoice::Dense | EngineChoice::Auto => {
-            DenseEngine.run_with_scratch(net, initial, config, scratch)
-        }
-        EngineChoice::Event => EventEngine.run_with_scratch(net, initial, config, scratch),
-        EngineChoice::Bitplane => BitplaneEngine.run_with_scratch(net, initial, config, scratch),
-        EngineChoice::Parallel(engine) => engine.run_with_scratch(net, initial, config, scratch),
-        // Compiles a fresh plan per run: the partitioned engine targets
-        // nets too large for one address space, where the run dwarfs the
-        // compile. Batch callers wanting compile-once reuse should hold a
-        // `PartitionPlan` and call `PartitionPlan::run` themselves.
-        EngineChoice::Partitioned { parts, threads } => {
-            use crate::engine::Engine;
-            crate::partition::PartitionedEngine::new(parts)
-                .with_threads(threads)
-                .run(net, initial, config)
-        }
-    }
+    choice.run_with_scratch_observed(
+        net,
+        &spec.initial_spikes,
+        &spec.config,
+        scratch,
+        &mut NullObserver,
+    )
 }
 
 /// The worker pool: `workers` threads claim indices `0..count` off an
@@ -462,7 +485,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, StopReason};
+    use crate::engine::{DenseEngine, Engine, StopReason};
     use crate::params::LifParams;
 
     fn chain(n: usize, delay: u32) -> (Network, Vec<NeuronId>) {
@@ -538,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_dense_for_spontaneous_neurons() {
+    fn auto_picks_bitplane_for_spontaneous_neurons() {
         let mut net = Network::new();
         net.add_neuron(LifParams {
             v_reset: 2.0,
@@ -547,12 +570,43 @@ mod tests {
         });
         assert!(matches!(
             EngineChoice::Auto.resolve(&net),
-            EngineChoice::Dense
+            EngineChoice::Bitplane
         ));
-        // And a batch over it still runs (the event engine would reject).
+        // And a batch over it still runs (the event engine would reject),
+        // exactly as the reference dense engine would.
         let specs = [RunSpec::new(vec![], RunConfig::fixed(3))];
         let results = BatchRunner::new(&net).run(&specs).unwrap();
         assert_eq!(results[0].spike_counts[0], 3);
+        let dense = DenseEngine
+            .run(&net, &specs[0].initial_spikes, &specs[0].config)
+            .unwrap();
+        assert_eq!(results[0], dense);
+    }
+
+    #[test]
+    fn unresolved_auto_runs_on_bitplane() {
+        // A spontaneous neuron: the event engine would reject this net, so
+        // the fallback must be an engine that accepts every valid network.
+        let mut net = Network::new();
+        let ids = net.add_neurons(LifParams::gate_at_least(1), 2);
+        net.add_neuron(LifParams {
+            v_reset: 2.0,
+            v_threshold: 1.0,
+            decay: 0.0,
+        });
+        net.connect(ids[0], ids[1], 1.0, 2).unwrap();
+        let config = RunConfig::fixed(6).with_raster();
+        let got = EngineChoice::Auto
+            .run_with_scratch_observed(
+                &net,
+                &[ids[0]],
+                &config,
+                &mut RunScratch::new(),
+                &mut NullObserver,
+            )
+            .unwrap();
+        let want = DenseEngine.run(&net, &[ids[0]], &config).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -608,7 +662,7 @@ mod tests {
             EngineChoice::Event
         ));
         // Spontaneous neurons still win: partitioned is event-style and
-        // would reject them, so the dense route takes precedence.
+        // would reject them, so the bit-plane route takes precedence.
         let mut spont = Network::new();
         spont.add_neuron(LifParams {
             v_reset: 2.0,
@@ -617,7 +671,7 @@ mod tests {
         });
         assert!(matches!(
             EngineChoice::Auto.resolve_with_partition_budget(&spont, 1),
-            EngineChoice::Dense
+            EngineChoice::Bitplane
         ));
         // And the routed choice runs, bit-identical to the event engine.
         let spec = RunSpec::new(vec![ids[0]], RunConfig::until_quiescent(300));
@@ -674,12 +728,19 @@ mod tests {
     fn explicit_choice_survives_resolve() {
         let (net, _) = chain(3, 1);
         assert!(matches!(
-            EngineChoice::Dense.resolve(&net),
-            EngineChoice::Dense
+            EngineChoice::Bitplane.resolve(&net),
+            EngineChoice::Bitplane
         ));
         assert!(matches!(
-            EngineChoice::Parallel(ParallelDenseEngine::new(2)).resolve(&net),
-            EngineChoice::Parallel(_)
+            EngineChoice::Partitioned {
+                parts: 2,
+                threads: 1
+            }
+            .resolve(&net),
+            EngineChoice::Partitioned {
+                parts: 2,
+                threads: 1
+            }
         ));
     }
 

@@ -37,7 +37,8 @@ use crate::types::{NeuronId, Time};
 /// [`RunResult`]s, work counters included) as [`super::DenseEngine`];
 /// picked by [`super::EngineChoice::Auto`] for dense topologies, where its
 /// wheel-free delivery and word-parallel frontier handling win (see
-/// `BENCH_engines` and DESIGN.md "Bit-plane execution").
+/// `BENCH_engines` and DESIGN.md "Bit-plane execution"), and for networks
+/// with spontaneous neurons, which the event-driven engines reject.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BitplaneEngine;
 

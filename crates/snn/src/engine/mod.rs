@@ -10,7 +10,6 @@ mod batch;
 mod bitplane;
 mod dense;
 pub(crate) mod event;
-mod parallel;
 mod stepper;
 pub(crate) mod sync;
 pub(crate) mod wheel;
@@ -22,7 +21,6 @@ pub use batch::{
 pub use bitplane::BitplaneEngine;
 pub use dense::DenseEngine;
 pub use event::EventEngine;
-pub use parallel::{ParallelDenseEngine, DEFAULT_MIN_CHUNK};
 pub use stepper::Stepper;
 
 // Batch aggregation, re-exported alongside the runner that produces it.
@@ -151,10 +149,12 @@ pub struct SimStats {
     pub spike_events: u64,
     /// Number of synaptic deliveries (spikes x fan-out actually routed).
     pub synaptic_deliveries: u64,
-    /// Number of neuron state updates the engine performed. For the dense
-    /// engine this is `neurons x steps`; for the event engine it is the
-    /// number of (neuron, step) pairs that received input — the quantity
-    /// event-driven hardware actually pays for.
+    /// Number of neuron state updates the engine performed. The two
+    /// execution families count differently, by design: the dense-stepping
+    /// engines (dense, bit-plane) count `neurons x steps`; the event-driven
+    /// ones (event, partitioned) count the (neuron, step) pairs that
+    /// received input — the quantity event-driven hardware actually pays
+    /// for. Every other counter is identical across all engines.
     pub neuron_updates: u64,
 }
 

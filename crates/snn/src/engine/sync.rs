@@ -1,16 +1,15 @@
-//! Synchronisation primitives shared by the thread-parallel engines.
+//! Synchronisation primitives for the threaded partitioned driver.
 //!
-//! [`SpinBarrier`] started life inside the parallel dense engine; the
-//! threaded partitioned driver meets at the same barrier design, so it
-//! lives here now. See the module docs of [`super::parallel`] for the
+//! [`SpinBarrier`] is the barrier the driver's workers and coordinator
+//! cross three times per superstep; DESIGN.md "Barrier tiers" has the
 //! measurements that motivated the tiered wait.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Spins before yielding in [`SpinBarrier::wait`]. Parallel-engine steps
-/// over `min_chunk`-sized chunks complete in well under this many spins;
-/// the yield path only triggers when a peer is descheduled.
+/// Spins before yielding in [`SpinBarrier::wait`]. A balanced superstep's
+/// stragglers usually arrive within this many spins; the yield path only
+/// triggers when a peer is descheduled.
 const SPIN_LIMIT: u32 = 1 << 10;
 
 /// Yield rounds after the spin budget before parking on the condvar.

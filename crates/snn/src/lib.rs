@@ -26,14 +26,19 @@
 //! matching the paper's assumption that "feed-forward circuits of threshold
 //! gates can run in time proportional to depth".)
 //!
-//! Two execution engines are provided and tested for equivalence:
+//! The execution engines are tested for bit-identical results:
 //!
 //! * [`engine::DenseEngine`] — literal time-stepped implementation; updates
-//!   every neuron every step. Transparent and robust; use for small nets.
+//!   every neuron every step. It is the reference the others are checked
+//!   against, not a route [`engine::EngineChoice`] offers.
 //! * [`engine::EventEngine`] — event-driven implementation that only touches
 //!   neurons when spikes arrive, applying voltage decay lazily. This is the
 //!   engine that gives the practical scalability the paper argues for:
 //!   cost is proportional to spike traffic, not `neurons x steps`.
+//! * [`engine::BitplaneEngine`] — dense stepping over `u64` spike-frontier
+//!   bit-planes, for near-complete topologies and spontaneous neurons.
+//! * [`PartitionedEngine`] — the event engine over an edge-cut plan, driven
+//!   sequentially or by a threaded bulk-synchronous worker pool.
 //!
 //! ## Quick example
 //!
@@ -73,8 +78,8 @@ pub use builder::NetworkBuilder;
 pub use encoding::{read_value, value_to_bits};
 pub use engine::{
     run_jobs, BatchRunner, BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine,
-    NullObserver, ParallelDenseEngine, RunConfig, RunObserver, RunResult, RunScratch, RunSpec,
-    SimStats, StopCondition, StopReason, TimeSeriesObserver,
+    NullObserver, RunConfig, RunObserver, RunResult, RunScratch, RunSpec, SimStats, StopCondition,
+    StopReason, TimeSeriesObserver,
 };
 pub use error::SnnError;
 pub use network::{BitplaneTopology, Network, Synapse};

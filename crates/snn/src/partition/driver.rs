@@ -34,8 +34,7 @@
 //! The cells are `Mutex`-wrapped only to satisfy `Sync` under this
 //! crate's `#![forbid(unsafe_code)]`: a cell is written by its worker
 //! between crossings 2 and 3 and read by the coordinator after crossing
-//! 3, so the locks are never contended — the same pattern as the
-//! parallel dense engine's mailboxes.
+//! 3, so the locks are never contended.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -1,7 +1,8 @@
 //! Differential harness for the batch runtime: a batch of runs executed
 //! over recycled per-worker scratch must be bit-identical to the same
 //! runs executed sequentially, each on a fresh engine — for every engine
-//! the batch runner can dispatch to, at every thread count.
+//! the batch runner can dispatch to, at every thread count, and for the
+//! reference dense engine's own scratch path.
 //!
 //! This is the guarantee that makes [`BatchRunner`] a pure optimisation:
 //! [`RunScratch::reset`] restores observationally-fresh state, so no run
@@ -13,8 +14,8 @@
 use proptest::prelude::*;
 use sgl_snn::{
     engine::{
-        BatchRunner, BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine,
-        ParallelDenseEngine, RunConfig, RunSpec,
+        BatchRunner, BitplaneEngine, DenseEngine, Engine, EngineChoice, EventEngine, RunConfig,
+        RunScratch, RunSpec,
     },
     LifParams, Network, NeuronId, PartitionedEngine,
 };
@@ -96,10 +97,8 @@ proptest! {
     fn batch_matches_sequential_on_all_engines(spec in batch_spec()) {
         let (net, specs) = build(&spec);
         let choices = [
-            EngineChoice::Dense,
             EngineChoice::Event,
             EngineChoice::Bitplane,
-            EngineChoice::Parallel(ParallelDenseEngine { threads: 3, min_chunk: 1 }),
             EngineChoice::Partitioned { parts: 3, threads: 2 },
         ];
         for choice in choices {
@@ -112,12 +111,10 @@ proptest! {
                 prop_assert_eq!(batched.len(), specs.len());
                 for (r, s) in batched.iter().zip(&specs) {
                     let fresh = match choice {
-                        EngineChoice::Dense => DenseEngine.run(&net, &s.initial_spikes, &s.config),
                         EngineChoice::Event => EventEngine.run(&net, &s.initial_spikes, &s.config),
                         EngineChoice::Bitplane => {
                             BitplaneEngine.run(&net, &s.initial_spikes, &s.config)
                         }
-                        EngineChoice::Parallel(e) => e.run(&net, &s.initial_spikes, &s.config),
                         EngineChoice::Partitioned { parts, threads } => {
                             PartitionedEngine::new(parts)
                                 .with_threads(threads)
@@ -129,6 +126,16 @@ proptest! {
                     prop_assert_eq!(r, &fresh);
                 }
             }
+        }
+        // The reference dense engine is no batch choice, but it keeps a
+        // scratch path: one recycled scratch across the whole batch.
+        let mut scratch = RunScratch::new();
+        for s in &specs {
+            let recycled = DenseEngine
+                .run_with_scratch(&net, &s.initial_spikes, &s.config, &mut scratch)
+                .unwrap();
+            let fresh = DenseEngine.run(&net, &s.initial_spikes, &s.config).unwrap();
+            prop_assert_eq!(recycled, fresh);
         }
     }
 

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use sgl_snn::{
-    engine::{BitplaneEngine, DenseEngine, Engine, EventEngine, ParallelDenseEngine, RunConfig},
+    engine::{BitplaneEngine, DenseEngine, Engine, EventEngine, RunConfig},
     LifParams, Network, NetworkBuilder, NeuronId,
 };
 
@@ -123,16 +123,12 @@ proptest! {
         let bulk = build_bulk(&spec);
         let initial: Vec<NeuronId> = spec.stimulus.iter().map(|&s| NeuronId(s as u32)).collect();
         for config in [RunConfig::fixed(60).with_raster(), RunConfig::until_quiescent(300).with_raster()] {
-            let parallel = ParallelDenseEngine { threads: 3, min_chunk: 1 };
             let d_inc = DenseEngine.run(&inc, &initial, &config).unwrap();
             let d_bulk = DenseEngine.run(&bulk, &initial, &config).unwrap();
             prop_assert_eq!(d_inc, d_bulk);
             let e_inc = EventEngine.run(&inc, &initial, &config).unwrap();
             let e_bulk = EventEngine.run(&bulk, &initial, &config).unwrap();
             prop_assert_eq!(e_inc, e_bulk);
-            let p_inc = parallel.run(&inc, &initial, &config).unwrap();
-            let p_bulk = parallel.run(&bulk, &initial, &config).unwrap();
-            prop_assert_eq!(p_inc, p_bulk);
             let b_inc = BitplaneEngine.run(&inc, &initial, &config).unwrap();
             let b_bulk = BitplaneEngine.run(&bulk, &initial, &config).unwrap();
             prop_assert_eq!(b_inc, b_bulk);

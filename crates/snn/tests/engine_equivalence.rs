@@ -1,5 +1,5 @@
 //! Differential harness: the dense (literal), event-driven, bit-plane,
-//! parallel dense, and partitioned engines must produce *bit-identical*
+//! and partitioned engines must produce *bit-identical*
 //! [`RunResult`]s — spike times, counts, raster, termination time and
 //! reason, and work counters (modulo the documented `neuron_updates`
 //! semantic difference; the partitioned engine matches the event engine
@@ -14,12 +14,15 @@
 //! delivery order. Delays occasionally exceed the time-wheel horizon to
 //! exercise the overflow path (the wheel's ordered map, and the bit-plane
 //! ring's equivalent), and networks run both thawed and frozen.
+//! Networks with spontaneous neurons, which only the dense-stepping
+//! engines accept, get their own strategy: there the bit-plane engine and
+//! the `Auto` batch route are held to the dense reference.
 
 use proptest::prelude::*;
 use sgl_snn::{
     engine::{
-        BitplaneEngine, DenseEngine, Engine, EventEngine, ParallelDenseEngine, RunConfig,
-        RunResult, TimeSeriesObserver,
+        BatchRunner, BitplaneEngine, DenseEngine, Engine, EventEngine, RunConfig, RunResult,
+        RunSpec, TimeSeriesObserver,
     },
     CutStrategy, LifParams, Network, NeuronId, PartitionedEngine,
 };
@@ -37,7 +40,8 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// instances of.
 #[derive(Debug, Clone)]
 struct NetSpec {
-    neurons: Vec<(f64, u8)>, // (threshold, decay kind: 0 = integrator, 1 = gate, 2 = tau 0.5)
+    // (threshold, kind: 0 = integrator, 1 = gate, 2 = tau 0.5, 3 = spontaneous)
+    neurons: Vec<(f64, u8)>,
     // (src, dst, weight, small delay, large delay, delay kind)
     synapses: Vec<(usize, usize, f64, u32, u32, u8)>,
     initial: Vec<usize>,
@@ -60,6 +64,28 @@ fn net_spec() -> impl Strategy<Value = NetSpec> {
     })
 }
 
+/// [`net_spec`] plus spontaneous neurons (`v_reset > v_threshold`, so
+/// they fire without input): at least one per network, and the stimulus
+/// may be empty, since such a network is active on its own. The event
+/// and partitioned engines reject these networks.
+fn spont_net_spec() -> impl Strategy<Value = NetSpec> {
+    let n_range = 2usize..10;
+    n_range.prop_flat_map(|n| {
+        let neurons = proptest::collection::vec((0.5f64..4.0, 0u8..4), n);
+        let synapse = (0..n, 0..n, -2.5f64..3.5, 1u32..6, 4097u32..6000, 0u8..8);
+        let synapses = proptest::collection::vec(synapse, 1..25);
+        let initial = proptest::collection::vec(0..n, 0..4);
+        (neurons, synapses, initial, 0..n).prop_map(|(mut neurons, synapses, initial, forced)| {
+            neurons[forced].1 = 3;
+            NetSpec {
+                neurons,
+                synapses,
+                initial,
+            }
+        })
+    })
+}
+
 fn build(spec: &NetSpec) -> (Network, Vec<NeuronId>) {
     let mut net = Network::new();
     let ids: Vec<NeuronId> = spec
@@ -69,10 +95,15 @@ fn build(spec: &NetSpec) -> (Network, Vec<NeuronId>) {
             let params = match kind {
                 0 => LifParams::integrator(threshold),
                 1 => LifParams::gate(threshold),
-                _ => LifParams {
+                2 => LifParams {
                     v_reset: 0.0,
                     v_threshold: threshold,
                     decay: 0.5,
+                },
+                _ => LifParams {
+                    v_reset: threshold + 1.0,
+                    v_threshold: threshold,
+                    decay: 0.25,
                 },
             };
             net.add_neuron(params)
@@ -152,7 +183,7 @@ fn assert_identical_modulo_updates(a: &RunResult, b: &RunResult) -> Result<(), S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The core differential property: all four engines, one random
+    /// The core differential property: every engine, one random
     /// network, bit-identical results — on the thawed *and* frozen form.
     #[test]
     fn engines_agree_on_random_networks(spec in net_spec()) {
@@ -165,12 +196,9 @@ proptest! {
         ] {
             let dense = DenseEngine.run(&net, &initial, &cfg).unwrap();
             let event = EventEngine.run(&net, &initial, &cfg).unwrap();
-            let par = ParallelDenseEngine { threads: 4, min_chunk: 1 }.run(&net, &initial, &cfg).unwrap();
             let bp = BitplaneEngine.run(&net, &initial, &cfg).unwrap();
-            // Parallel dense and bit-plane share the dense engine's update
-            // semantics, so their whole results (work counters included)
-            // must match exactly.
-            prop_assert_eq!(&dense, &par);
+            // Bit-plane shares the dense engine's update semantics, so its
+            // whole result (work counters included) must match exactly.
             prop_assert_eq!(&dense, &bp);
             assert_identical_modulo_updates(&dense, &event)?;
             // The partitioned engine shares the event engine's lazy-decay
@@ -206,9 +234,7 @@ proptest! {
         let cfg = RunConfig::until_terminal(60).with_raster();
         let dense = DenseEngine.run(&net, &initial, &cfg).unwrap();
         let event = EventEngine.run(&net, &initial, &cfg).unwrap();
-        let par = ParallelDenseEngine { threads: 3, min_chunk: 1 }.run(&net, &initial, &cfg).unwrap();
         let bp = BitplaneEngine.run(&net, &initial, &cfg).unwrap();
-        prop_assert_eq!(&dense, &par);
         prop_assert_eq!(&dense, &bp);
         assert_identical_modulo_updates(&dense, &event)?;
         for parts in PART_COUNTS {
@@ -251,24 +277,20 @@ proptest! {
             RunConfig::fixed(60).with_raster(),
             RunConfig::until_quiescent(300).with_raster(),
         ] {
-            let par_engine = ParallelDenseEngine { threads: 4, min_chunk: 1 };
-            let plain: [RunResult; 4] = [
+            let plain: [RunResult; 3] = [
                 DenseEngine.run(&net, &initial, &cfg).unwrap(),
                 EventEngine.run(&net, &initial, &cfg).unwrap(),
-                par_engine.run(&net, &initial, &cfg).unwrap(),
                 BitplaneEngine.run(&net, &initial, &cfg).unwrap(),
             ];
             let mut observers = [
                 TimeSeriesObserver::new(),
                 TimeSeriesObserver::new(),
                 TimeSeriesObserver::new(),
-                TimeSeriesObserver::new(),
             ];
-            let observed: [RunResult; 4] = [
+            let observed: [RunResult; 3] = [
                 DenseEngine.run_observed(&net, &initial, &cfg, &mut observers[0]).unwrap(),
                 EventEngine.run_observed(&net, &initial, &cfg, &mut observers[1]).unwrap(),
-                par_engine.run_observed(&net, &initial, &cfg, &mut observers[2]).unwrap(),
-                BitplaneEngine.run_observed(&net, &initial, &cfg, &mut observers[3]).unwrap(),
+                BitplaneEngine.run_observed(&net, &initial, &cfg, &mut observers[2]).unwrap(),
             ];
             for (p, (o, obs)) in plain.iter().zip(observed.iter().zip(&observers)) {
                 prop_assert_eq!(p, o);
@@ -304,6 +326,32 @@ proptest! {
         // The event-driven advantage the paper banks on: touched-neuron
         // updates are bounded by the dense engine's neurons-times-steps.
         prop_assert!(event.stats.neuron_updates <= dense.stats.neuron_updates);
+    }
+
+    /// Spontaneous networks are `Auto`'s bit-plane route: the bit-plane
+    /// engine (thawed and frozen) and the `Auto` batch runner must both
+    /// reproduce the dense reference exactly, work counters included.
+    #[test]
+    fn spontaneous_networks_match_dense(spec in spont_net_spec()) {
+        let (net, initial) = build(&spec);
+        let mut frozen = net.clone();
+        frozen.freeze();
+        for cfg in [
+            RunConfig::fixed(60).with_raster(),
+            RunConfig::until_quiescent(300).with_raster(),
+        ] {
+            let dense = DenseEngine.run(&net, &initial, &cfg).unwrap();
+            let bp = BitplaneEngine.run(&net, &initial, &cfg).unwrap();
+            prop_assert_eq!(&dense, &bp);
+            let dense_frozen = DenseEngine.run(&frozen, &initial, &cfg).unwrap();
+            let bp_frozen = BitplaneEngine.run(&frozen, &initial, &cfg).unwrap();
+            prop_assert_eq!(&dense, &dense_frozen);
+            prop_assert_eq!(&dense, &bp_frozen);
+            let batched = BatchRunner::new(&net)
+                .run(&[RunSpec::new(initial.clone(), cfg.clone())])
+                .unwrap();
+            prop_assert_eq!(&dense, &batched[0]);
+        }
     }
 }
 
@@ -372,7 +420,7 @@ impl sgl_snn::engine::RunObserver for BatchTally {
 /// Duplicate induced spikes: every engine dedups the `t = 0` frontier
 /// (`fired.sort_unstable(); fired.dedup()`), and `SimStats::spike_events`
 /// plus the observer channels must agree on the *deduped* counts,
-/// engine-to-engine, across all four engines.
+/// engine-to-engine, across every engine.
 #[test]
 fn duplicate_initial_spikes_dedup_identically() {
     let mut net = Network::new();
@@ -387,15 +435,10 @@ fn duplicate_initial_spikes_dedup_identically() {
     let initial = [a, a, b, b, a, b];
     let cfg = RunConfig::until_quiescent(20).with_raster();
 
-    let par = ParallelDenseEngine {
-        threads: 3,
-        min_chunk: 1,
-    };
     let mut tallies: Vec<(&str, RunResult, BatchTally)> = Vec::new();
     for name in [
         "dense",
         "event",
-        "parallel",
         "bitplane",
         "partitioned",
         "partitioned-mt",
@@ -404,7 +447,6 @@ fn duplicate_initial_spikes_dedup_identically() {
         let r = match name {
             "dense" => DenseEngine.run_observed(&net, &initial, &cfg, &mut tally),
             "event" => EventEngine.run_observed(&net, &initial, &cfg, &mut tally),
-            "parallel" => par.run_observed(&net, &initial, &cfg, &mut tally),
             "partitioned" => {
                 PartitionedEngine::new(2).run_observed(&net, &initial, &cfg, &mut tally)
             }
@@ -432,7 +474,7 @@ fn duplicate_initial_spikes_dedup_identically() {
         assert_eq!(&r, dense, "{name} diverged");
         // The event engine only visits steps with activity, so its per-step
         // announcements are a subsequence of the dense trace; engines with
-        // dense stepping must match the dense trace exactly, and all four
+        // dense stepping must match the dense trace exactly, and all
         // must agree on the steps where something happened.
         let nonzero = |v: &Vec<(u64, u64)>| -> Vec<(u64, u64)> {
             v.iter().copied().filter(|&(_, d)| d > 0).collect()

@@ -1,12 +1,13 @@
 //! Reconciliation tests for the observer protocol: the per-step series a
 //! [`TimeSeriesObserver`] collects must sum *exactly* to the `SimStats`
-//! totals of the same run, on all three engines, and the scheduler /
-//! barrier side channels must reflect what the engines actually did.
+//! totals of the same run, on every single-address-space engine, and the
+//! scheduler / barrier side channels must reflect what the engines
+//! actually did.
 
 use sgl_snn::engine::{
-    DenseEngine, EventEngine, ParallelDenseEngine, RunConfig, TimeSeriesObserver,
+    BitplaneEngine, DenseEngine, EventEngine, RunConfig, RunObserver, TimeSeriesObserver,
 };
-use sgl_snn::{LifParams, Network, NeuronId};
+use sgl_snn::{LifParams, Network, NeuronId, PartitionedEngine};
 
 /// A weighted chain with gaps: 0 -> 1 -> 2 -> 3 with delays 3, 1, 5, plus
 /// a shortcut 0 -> 2 (delay 7) that arrives after the chain already fired
@@ -42,14 +43,11 @@ fn series_reconcile_with_sim_stats_on_all_engines() {
                 .unwrap();
             (r, obs)
         }),
-        ("parallel", {
+        ("bitplane", {
             let mut obs = TimeSeriesObserver::new();
-            let r = ParallelDenseEngine {
-                threads: 2,
-                min_chunk: 1,
-            }
-            .run_observed(&net, &initial, &cfg, &mut obs)
-            .unwrap();
+            let r = BitplaneEngine
+                .run_observed(&net, &initial, &cfg, &mut obs)
+                .unwrap();
             (r, obs)
         }),
     ];
@@ -135,38 +133,53 @@ fn overflow_scheduling_is_counted() {
     assert!(obs.wheel_in_flight.iter().any(|&x| x > 0));
 }
 
+/// Counts the two hooks whose multiplicity the barrier test pins down.
+#[derive(Default)]
+struct HookCount {
+    barrier_waits: u64,
+    finishes: u64,
+}
+
+impl RunObserver for HookCount {
+    fn on_barrier_wait(&mut self, _t: u64, _nanos: u64) {
+        self.barrier_waits += 1;
+    }
+    fn on_finish(&mut self, _steps: u64, _spikes: u64, _deliveries: u64, _updates: u64) {
+        self.finishes += 1;
+    }
+}
+
 #[test]
-fn barrier_waits_only_from_the_parallel_coordinator() {
+fn barrier_waits_only_from_the_threaded_partition_coordinator() {
     let (net, ids) = chain_net();
     let cfg = RunConfig::until_quiescent(64);
 
-    let mut par = TimeSeriesObserver::new();
-    ParallelDenseEngine {
-        threads: 3,
-        min_chunk: 1,
-    }
-    .run_observed(&net, &[ids[0]], &cfg, &mut par)
-    .unwrap();
+    let mut threaded = TimeSeriesObserver::new();
+    PartitionedEngine::new(3)
+        .with_threads(2)
+        .run_observed(&net, &[ids[0]], &cfg, &mut threaded)
+        .unwrap();
     assert!(
-        par.barrier_wait.count() > 0,
+        threaded.barrier_wait.count() > 0,
         "coordinator never timed a barrier"
     );
-    assert!(par.barrier_wait_total_ns > 0);
+    assert!(threaded.barrier_wait_total_ns > 0);
 
-    // threads == 1 delegates to the dense engine: no barriers exist.
+    // threads == 1 runs the sequential driver: no barriers exist.
     let mut single = TimeSeriesObserver::new();
-    let one = ParallelDenseEngine {
-        threads: 1,
-        min_chunk: 1,
-    }
-    .run_observed(&net, &[ids[0]], &cfg, &mut single)
-    .unwrap();
+    let one = PartitionedEngine::new(3)
+        .with_threads(1)
+        .run_observed(&net, &[ids[0]], &cfg, &mut single)
+        .unwrap();
     assert_eq!(single.barrier_wait.count(), 0);
-    assert!(
-        single.finished.is_some(),
-        "on_finish must fire exactly once via delegation"
-    );
     assert_eq!(single.total_spikes(), one.stats.spike_events);
+    let mut hooks = HookCount::default();
+    PartitionedEngine::new(3)
+        .with_threads(1)
+        .run_observed(&net, &[ids[0]], &cfg, &mut hooks)
+        .unwrap();
+    assert_eq!(hooks.barrier_waits, 0);
+    assert_eq!(hooks.finishes, 1, "on_finish must fire exactly once");
 
     let mut dense = TimeSeriesObserver::new();
     DenseEngine

@@ -14,7 +14,7 @@
 //! network quiesces at t = 6.
 
 use sgl_snn::engine::{
-    DenseEngine, Engine, EventEngine, ParallelDenseEngine, RunConfig, StopCondition, StopReason,
+    BitplaneEngine, DenseEngine, Engine, EventEngine, RunConfig, StopCondition, StopReason,
 };
 use sgl_snn::{LifParams, Network, NeuronId, Time};
 
@@ -32,13 +32,7 @@ fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
     vec![
         ("dense", Box::new(DenseEngine)),
         ("event", Box::new(EventEngine)),
-        (
-            "parallel",
-            Box::new(ParallelDenseEngine {
-                threads: 3,
-                min_chunk: 1,
-            }),
-        ),
+        ("bitplane", Box::new(BitplaneEngine)),
     ]
 }
 
